@@ -18,7 +18,7 @@ import scipy
 from . import __version__, fileio, fraclap, solver, verify
 from .diffops import PolyOp
 from .errors import ConfigError, GeometryError, SolverFailure
-from .grid import Grid, disk_mask, full_mask
+from .grid import Grid, disk_mask
 from .lines import filter_roi, make_lineset
 from .phantoms import PhantomSpec, sample_phantom
 from .xray_scalar import xray_forward
@@ -270,7 +270,6 @@ def cmd_probe(cfg, args) -> int:
     grid = _grid_from_cfg(cfg)
     roi = _mask_from_cfg(cfg, grid, "roi")
     if roi is None:
-        roi = full_mask(grid)
         roi = disk_mask(grid, (0.0,) * grid.n, 0.9 * min(grid.extent))
     ls = filter_roi(_lineset_from_cfg(cfg, grid), roi)
     result = solver.null_space_probe(
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--out", help="output directory (overrides out.dir)")
-    parser.add_argument("--threads", type=int, help="thread cap (ROITOMO_THREADS fallback)")
+    parser.add_argument("--threads", type=int, help="thread cap via threadpoolctl (ROITOMO_THREADS fallback)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -65,13 +65,6 @@ class PolyOp:
             r = max(r, max((-(-k // 2) for k in alpha), default=0))
         return r
 
-    def axis_radii(self) -> tuple:
-        radii = [0] * self.n
-        for alpha in self.terms:
-            for j, k in enumerate(alpha):
-                radii[j] = max(radii[j], -(-k // 2))
-        return tuple(radii)
-
     def coeff_scale(self, h: float) -> float:
         """Worst-case stencil amplification, used to normalize residuals."""
         return sum(abs(a) * h ** (-sum(alpha)) for alpha, a in self.terms.items())

@@ -7,6 +7,7 @@ identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,6 +22,17 @@ _FMT = "%.17g"
 
 def _fmt(x: float) -> str:
     return _FMT % float(x)
+
+
+@contextmanager
+def _parsing(path):
+    """Report a malformed input file as a config error that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"cannot parse {path}: missing field {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +56,7 @@ def _write_field_block(fh, f: ScalarField):
 
 
 def read_field(path, pad_factor: int = 2) -> ScalarField:
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _parsing(path):
         return _read_field_block(fh, pad_factor)
 
 
@@ -75,14 +87,14 @@ def write_vector(path, F: VectorField):
 
 
 def read_vector(path, pad_factor: int = 2) -> VectorField:
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _parsing(path):
         header = fh.readline().decode("ascii").strip()
         parts = header.split()
         if not parts or parts[0] != "ROIV1":
             raise ValueError(f"not a ROIV1 file: {header!r}")
         n = int(dict(p.split("=", 1) for p in parts[1:])["n"])
         comps = [_read_field_block(fh, pad_factor) for _ in range(n)]
-    return VectorField.from_components(comps)
+        return VectorField.from_components(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +170,17 @@ def _read_lineset_lines(lines):
 
 
 def read_lineset(path) -> LineSet:
-    with open(path) as fh:
+    with open(path) as fh, _parsing(path):
         ls, _ = _read_lineset_lines(fh.readlines())
     return ls
 
 
 def read_sinogram(path) -> Sinogram:
-    with open(path) as fh:
+    with open(path) as fh, _parsing(path):
         ls, values = _read_lineset_lines(fh.readlines())
-    if values is None:
-        raise ValueError("file has no value column")
-    return Sinogram(ls, values)
+        if values is None:
+            raise ValueError("file has no value column")
+        return Sinogram(ls, values)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +223,7 @@ def write_polyop(path, op: PolyOp):
 
 
 def read_polyop(path, n: int | None = None) -> PolyOp:
-    with open(path) as fh:
+    with open(path) as fh, _parsing(path):
         return polyop_from_text(fh.read(), n)
 
 

@@ -253,13 +253,6 @@ class RegionMask:
             raise RegionError("region interior is empty at the requested erosion")
         return inner
 
-    def complement(self) -> "RegionMask":
-        return RegionMask(self.grid, ~self.inside, self.erosion_radius)
-
-    @property
-    def node_count(self) -> int:
-        return int(self.inside.sum())
-
 
 def disk_mask(grid: Grid, center, radius: float, erosion_radius: float = 0.0) -> RegionMask:
     """Open ball ``|x - center| < radius`` (boundary nodes excluded)."""

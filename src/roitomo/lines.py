@@ -51,6 +51,12 @@ class LineSet:
     offset_spacing: float = 0.0
     filtered: bool = False
 
+    def __post_init__(self):
+        # projector caches key on the set's identity, so its lines must not
+        # change after construction
+        for arr in (self.thetas, self.zs, self.weights, self.angle_index, self.offset_index):
+            arr.flags.writeable = False
+
     def __len__(self) -> int:
         return self.thetas.shape[0]
 

@@ -189,9 +189,6 @@ class Projector:
         weighted = self.lineset.weights * line_values
         return (self.matrix_t @ weighted).reshape(self.grid.shape) / self._hn
 
-    def normal(self, values: np.ndarray) -> np.ndarray:
-        return self.backproject(self.forward(values))
-
 
 def _estimated_nnz(grid: Grid, lineset) -> float:
     s, _ = line_quadrature(grid)
@@ -216,3 +213,12 @@ def _cached_projector(grid: Grid, lineset) -> Projector | None:
     while len(_projector_cache) > _CACHE_SIZE:
         _projector_cache.popitem(last=False)
     return proj
+
+
+def projector(grid: Grid, lineset) -> Projector:
+    """Matrix-backed projector, from the cache when its matrix fits the limit.
+
+    Above the limit the matrix is built for this caller alone and not kept.
+    """
+    proj = _cached_projector(grid, lineset)
+    return proj if proj is not None else Projector(grid, lineset)

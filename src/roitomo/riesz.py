@@ -81,8 +81,3 @@ def vector_kernel(grid: Grid) -> np.ndarray:
 def kernel_spectrum(kernel_centered: np.ndarray, grid: Grid) -> np.ndarray:
     """Real DFT symbol of a centered even kernel (includes the h^n weight)."""
     return np.real(np.fft.fftn(np.fft.ifftshift(kernel_centered))) * grid.h**grid.n
-
-
-def scalar_kernel_dc(grid: Grid) -> float:
-    """DC gain of the sampled scalar kernel (its discrete integral)."""
-    return float(np.sum(scalar_kernel(grid)) * grid.h**grid.n)

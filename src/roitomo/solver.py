@@ -6,7 +6,9 @@ term that keeps the discrete system positive definite (the continuum theorems
 give uniqueness, not conditioning).  Solves run preconditioned conjugate
 gradients on the normal equations with the exact transpose pair of the
 discrete transform, zero initialization, and no randomness, so reports are
-reproducible bit for bit.
+reproducible bit for bit.  One core serves both solves: the scalar problem is
+the one-component vector problem, and the vector prior acts through the
+exterior derivative (the curl components).
 
 The near-null-space probe searches for unit-norm fields supported outside a
 region whose transform over the region's lines is as small as possible;
@@ -26,7 +28,7 @@ from .errors import RegionError, SolverFailure
 from .fraclap import analytic_c0
 from .grid import Grid, RegionMask, ScalarField, VectorField
 from .lines import LineSet, filter_roi, make_lineset
-from .project import Projector
+from .project import projector
 from .xray_scalar import Sinogram
 from .xray_vector import _cd, _cd_adjoint, skew_pairs, solenoidal_decompose
 
@@ -35,8 +37,9 @@ from .xray_vector import _cd, _cd_adjoint, skew_pairs, solenoidal_decompose
 class PartialDataProblem:
     """Data, geometry, prior, and solver controls for one partial solve.
 
-    The unknown is sought in the transform's contract class, fields supported
-    in the 0.9-extent ball; pass ``support`` to widen or narrow that.
+    ``support=None`` leaves every grid node free; pass ``support`` to restrict
+    the unknown to a region (for instance the transform's contract class,
+    fields supported in the 0.9-extent ball).
     """
 
     roi: RegionMask
@@ -54,11 +57,6 @@ class PartialDataProblem:
             raise ValueError("penalty weights must be non-negative")
         if np.any(self.region.inside & ~self.roi.inside):
             raise ValueError("prior region must lie inside the roi")
-
-    def support_flags(self, grid: Grid) -> np.ndarray | None:
-        if self.support is None:
-            return None
-        return self.support.inside.reshape(-1)
 
 
 @dataclass
@@ -175,64 +173,64 @@ def _spectral_preconditioner(grid, lineset, priors, lam_p, lam_t, region_fractio
     return precond
 
 
-def _report_from_info(info, data_rel, prior_norm, objective, wall, rel_error):
-    return SolveReport(
-        iterations=info["iterations"],
-        converged=info["converged"],
-        data_residual=data_rel,
-        prior_residual=prior_norm,
-        objective=objective,
-        wall_time=wall,
-        rel_error=rel_error,
-        objective_history=info["objective_history"],
-    )
+def _solve(problem: PartialDataProblem, grid: Grid, thetas: list, terms: list):
+    """Minimize ``|sqrt(w) (sum_i theta_i X u_i - g)|^2`` + penalty + ridge.
 
-
-def solve_scalar_partial(
-    problem: PartialDataProblem, grid: Grid, truth: ScalarField | None = None
-):
-    """Minimize data misfit + prior penalty + ridge by preconditioned CG."""
+    Each term ``(op, d, d_t)`` adds ``lambda_prior h^order |op(d u)|^2`` on
+    the prior region's stencil interior; ``d_t`` is the transpose of ``d``.
+    Returns the component stack and a report without ``rel_error``.
+    """
     t0 = time.perf_counter()
     ls = problem.data.lineset
-    proj = Projector(grid, ls)
+    proj = projector(grid, ls)
     w = ls.weights
     g = problem.data.values
-    hn = grid.h**grid.n
+    h, hn = grid.h, grid.h**grid.n
     lam_p, lam_t = problem.lambda_prior, problem.lambda_tikhonov
+    shape = (len(thetas),) + grid.shape
 
-    prior = problem.prior
-    if prior is not None and lam_p > 0:
-        inner = diffops.stencil_interior(prior, problem.region)
+    inners = []
+    for op, _, _ in terms:
+        inner = diffops.stencil_interior(op, problem.region)
         if not inner.any():
             raise RegionError("prior region interior is empty")
-        priors = [prior]
-        region_fraction = inner.mean()
-        # dimensionless-difference normalization: an order-m penalty scales
-        # as h^m so that unit weight means unit-size stencil residuals
-        lam_p = lam_p * grid.h**prior.order
-    else:
-        inner = None
-        priors = []
-        region_fraction = 0.0
+        inners.append(inner)
+    # dimensionless-difference normalization: an order-m penalty scales
+    # as h^m so that unit weight means unit-size stencil residuals
+    scales = [h**op.order for op, _, _ in terms]
 
-    flags = problem.support_flags(grid)
+    support = problem.support
+    flags = None if support is None else np.tile(support.inside.reshape(-1), len(thetas))
 
     def _mask(vec):
         return vec if flags is None else np.where(flags, vec, 0.0)
 
-    def apply_a(vec):
-        vec = _mask(vec)
-        out = proj.matrix_t @ (w * (proj.matrix @ vec))
-        if inner is not None:
-            shaped = vec.reshape(grid.shape)
-            out = out + lam_p * hn * diffops.apply_fd_normal(
-                prior, shaped, inner, grid.h
-            ).reshape(-1)
-        out += lam_t * hn * vec
-        return _mask(out)
+    def forward(comps):
+        sino = np.zeros(len(ls))
+        for theta, comp in zip(thetas, comps):
+            sino += theta * (proj.matrix @ comp.reshape(-1))
+        return sino
 
-    b = _mask(proj.matrix_t @ (w * g))
-    base_precond = _spectral_preconditioner(grid, ls, priors, lam_p, lam_t, region_fraction)
+    def backproject(sino):
+        return np.stack(
+            [(proj.matrix_t @ (theta * sino)).reshape(grid.shape) for theta in thetas]
+        )
+
+    def apply_a(vec):
+        comps = _mask(vec).reshape(shape)
+        out = backproject(w * forward(comps))
+        for (op, d, d_t), inner, scale in zip(terms, inners, scales):
+            z = diffops.apply_fd_normal(op, d(comps), inner, h)
+            out += lam_p * scale * hn * d_t(z)
+        out += lam_t * hn * comps
+        return _mask(out.reshape(-1))
+
+    b = _mask(backproject(w * g).reshape(-1))
+    region_fraction = float(np.mean([m.mean() for m in inners])) if inners else 0.0
+    mean_scale = float(np.mean(scales)) if scales else 0.0
+    base_precond = _spectral_preconditioner(
+        grid, ls, [op for op, _, _ in terms], lam_p * mean_scale, lam_t, region_fraction
+    )
 
     def precond(vec):
         return _mask(base_precond(_mask(vec)))
@@ -245,33 +243,61 @@ def solve_scalar_partial(
         )
         raise
 
-    f = ScalarField(grid, x.reshape(grid.shape))
-    resid = proj.matrix @ x - g
+    comps = x.reshape(shape)
+    resid = forward(comps) - g
     data_rel = float(
         np.sqrt(np.sum(w * resid**2)) / max(np.sqrt(np.sum(w * g**2)), 1e-300)
     )
-    if inner is not None:
-        action = diffops.apply_fd(prior, f, problem.region)
-        prior_norm = float(np.sqrt(hn * np.sum(np.abs(action) ** 2)))
-    else:
-        prior_norm = 0.0
-    rel_error = None
-    if truth is not None:
-        rel_error = float((f - truth).norm() / max(truth.norm(), 1e-300))
-    report = _report_from_info(
-        info, data_rel, prior_norm, info["objective_history"][-1],
-        time.perf_counter() - t0, rel_error,
+    prior_sq = 0.0
+    for (op, d, _), inner in zip(terms, inners):
+        action = diffops._apply_terms(op, d(comps), h)
+        action[~inner] = 0.0
+        prior_sq += hn * float(np.sum(np.abs(action) ** 2))
+    report = SolveReport(
+        iterations=info["iterations"],
+        converged=info["converged"],
+        data_residual=data_rel,
+        prior_residual=float(np.sqrt(prior_sq)),
+        objective=info["objective_history"][-1],
+        wall_time=time.perf_counter() - t0,
+        objective_history=info["objective_history"],
     )
+    return comps, report
+
+
+def solve_scalar_partial(
+    problem: PartialDataProblem, grid: Grid, truth: ScalarField | None = None
+):
+    """Minimize data misfit + prior penalty + ridge by preconditioned CG.
+
+    The one-component case of the core: unit line weights, and the prior
+    acts on the field itself.
+    """
+    prior = problem.prior
+    terms = []
+    if prior is not None and problem.lambda_prior > 0:
+        terms.append((prior, lambda comps: comps[0], lambda z: z[None]))
+    comps, report = _solve(problem, grid, [np.ones(len(problem.data.lineset))], terms)
+    f = ScalarField(grid, comps[0])
+    if truth is not None:
+        report.rel_error = float((f - truth).norm() / max(truth.norm(), 1e-300))
     return f, report
 
 
-def _vector_priors(problem: PartialDataProblem, n: int) -> dict:
-    prior = problem.prior
-    if prior is None or problem.lambda_prior == 0:
-        return {}
-    if isinstance(prior, diffops.PolyOp):
-        return {pair: prior for pair in skew_pairs(n)}
-    return dict(prior)
+def _curl_term(op, i: int, j: int, grid: Grid):
+    """Penalty term on the (i, j) curl component, with its transpose."""
+    h = grid.h
+
+    def d(comps):
+        return _cd(comps[j], i, h) - _cd(comps[i], j, h)
+
+    def d_t(z):
+        out = np.zeros((grid.n,) + grid.shape)
+        out[j] = _cd_adjoint(z, i, h)
+        out[i] = -_cd_adjoint(z, j, h)
+        return out
+
+    return op, d, d_t
 
 
 def solve_vector_partial(
@@ -279,106 +305,27 @@ def solve_vector_partial(
 ):
     """Vector analogue; the penalty sits on the curl components.
 
+    The n-component case of the core: line weights are the direction
+    components, and each skew pair's prior acts on that curl component.
     Gradient directions are invisible to the data and barely touched by the
     penalty, so success is judged on the solenoidal part (compare the
     Helmholtz splits of the result and the ground truth).
     """
-    t0 = time.perf_counter()
-    ls = problem.data.lineset
-    n = grid.n
-    proj = Projector(grid, ls)
-    w = ls.weights
-    g = problem.data.values
-    hn = grid.h**grid.n
-    lam_p, lam_t = problem.lambda_prior, problem.lambda_tikhonov
-    theta = [ls.thetas[:, i] for i in range(n)]
-
-    priors = _vector_priors(problem, n)
-    inners = {}
-    scales = {}
-    for pair, op in priors.items():
-        inner = diffops.stencil_interior(op, problem.region)
-        if not inner.any():
-            raise RegionError("prior region interior is empty")
-        inners[pair] = inner
-        scales[pair] = grid.h**op.order
-    region_fraction = (
-        float(np.mean([m.mean() for m in inners.values()])) if inners else 0.0
-    )
-
-    shape = (n,) + grid.shape
-    sflags = problem.support_flags(grid)
-    flags = None if sflags is None else np.tile(sflags, n)
-
-    def _mask(vec):
-        return vec if flags is None else np.where(flags, vec, 0.0)
-
-    def apply_a(vec):
-        vec = _mask(vec)
-        comps = vec.reshape(shape)
-        sino = np.zeros(len(ls))
-        for i in range(n):
-            sino += theta[i] * (proj.matrix @ comps[i].reshape(-1))
-        sino *= w
-        out = np.empty(shape)
-        for i in range(n):
-            out[i] = (proj.matrix_t @ (theta[i] * sino)).reshape(grid.shape)
-        if priors:
-            for (i, j), op in priors.items():
-                curl = _cd(comps[j], i, grid.h) - _cd(comps[i], j, grid.h)
-                z = diffops.apply_fd_normal(op, curl, inners[(i, j)], grid.h)
-                out[j] += lam_p * scales[(i, j)] * hn * _cd_adjoint(z, i, grid.h)
-                out[i] -= lam_p * scales[(i, j)] * hn * _cd_adjoint(z, j, grid.h)
-        out += lam_t * hn * comps
-        return _mask(out.reshape(-1))
-
-    b = np.empty(shape)
-    for i in range(n):
-        b[i] = (proj.matrix_t @ (theta[i] * (w * g))).reshape(grid.shape)
-    b = _mask(b.reshape(-1))
-
-    mean_scale = float(np.mean(list(scales.values()))) if scales else 0.0
-    base_precond = _spectral_preconditioner(
-        grid, ls, list(priors.values()), lam_p * mean_scale, lam_t, region_fraction
-    )
-
-    def precond(vec):
-        return _mask(base_precond(_mask(vec)))
-    try:
-        x, info = _pcg(apply_a, b, problem.cg_tol, problem.max_iter, precond)
-    except SolverFailure as exc:
-        exc.report = SolveReport(
-            0, False, np.nan, np.nan, np.nan, time.perf_counter() - t0,
-            notes=str(exc),
-        )
-        raise
-
-    F = VectorField(grid, x.reshape(shape))
-    sino = np.zeros(len(ls))
-    for i in range(n):
-        sino += theta[i] * (proj.matrix @ F.values[i].reshape(-1))
-    resid = sino - g
-    data_rel = float(
-        np.sqrt(np.sum(w * resid**2)) / max(np.sqrt(np.sum(w * g**2)), 1e-300)
-    )
-    prior_norm = 0.0
-    for (i, j), op in priors.items():
-        curl = _cd(F.values[j], i, grid.h) - _cd(F.values[i], j, grid.h)
-        action = diffops._apply_terms(op, curl, grid.h)
-        action[~inners[(i, j)]] = 0.0
-        prior_norm += hn * float(np.sum(np.abs(action) ** 2))
-    prior_norm = float(np.sqrt(prior_norm))
-    rel_error = None
+    priors = problem.prior
+    if priors is None or problem.lambda_prior == 0:
+        priors = {}
+    elif isinstance(priors, diffops.PolyOp):
+        priors = dict.fromkeys(skew_pairs(grid.n), priors)
+    terms = [_curl_term(op, i, j, grid) for (i, j), op in dict(priors).items()]
+    thetas = [problem.data.lineset.thetas[:, i] for i in range(grid.n)]
+    comps, report = _solve(problem, grid, thetas, terms)
+    F = VectorField(grid, comps)
     if truth is not None:
         sol_rec, _ = solenoidal_decompose(F)
         sol_true, _ = solenoidal_decompose(truth)
-        rel_error = float(
+        report.rel_error = float(
             (sol_rec - sol_true).norm() / max(sol_true.norm(), 1e-300)
         )
-    report = _report_from_info(
-        info, data_rel, prior_norm, info["objective_history"][-1],
-        time.perf_counter() - t0, rel_error,
-    )
     return F, report
 
 
@@ -428,7 +375,7 @@ def null_space_probe(
         raise RegionError("probe support outside the region is empty")
     if lineset is None:
         lineset = filter_roi(make_lineset(grid), roi)
-    proj = Projector(grid, lineset)
+    proj = projector(grid, lineset)
     w = lineset.weights
     band = (grid.freq_norm() <= band_fraction * np.pi / grid.h).astype(float)
 

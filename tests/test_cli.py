@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import roitomo as rt
 from roitomo import cli, fileio
 
 
@@ -157,3 +158,46 @@ def test_out_flag_overrides(tmp_path):
     assert run_cli(["phantom", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
     assert (tmp_path / "flag" / "phantom.roif").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def _zero_sinogram(tmp_path):
+    ls = rt.make_lineset(rt.Grid(2, 64, 1.0), 6, 8)
+    path = tmp_path / "sino.csv"
+    fileio.write_sinogram(path, rt.Sinogram(ls, np.zeros(len(ls))))
+    return path
+
+
+def _reconstruct_exit(tmp_path, settings):
+    cfg = write_cfg(tmp_path / "rc.cfg", BASE + f"out.dir={tmp_path}/rc\n" + settings)
+    return run_cli(["reconstruct", "--config", cfg])
+
+
+def _assert_one_line_config_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error:") and str(path) in err
+
+
+def test_sinogram_without_values_exit_code(tmp_path, capsys):
+    path = tmp_path / "lines.csv"
+    fileio.write_lineset(path, rt.make_lineset(rt.Grid(2, 64, 1.0), 6, 8))
+    assert _reconstruct_exit(tmp_path, f"solver.mode=full\ndata.sinogram={path}\n") == 2
+    _assert_one_line_config_error(capsys, path)
+
+
+def test_malformed_field_header_exit_code(tmp_path, capsys):
+    field = tmp_path / "truth.roif"
+    field.write_bytes(b"ROIF1 n=2 size=4,4,4 extent=1,1\n" + bytes(8 * 64))
+    settings = (f"solver.mode=full\ndata.sinogram={_zero_sinogram(tmp_path)}\n"
+                f"truth.field={field}\n")
+    assert _reconstruct_exit(tmp_path, settings) == 2
+    _assert_one_line_config_error(capsys, field)
+
+
+def test_malformed_operator_file_exit_code(tmp_path, capsys):
+    prior = tmp_path / "p.polyop"
+    prior.write_text("1 2 x\n")
+    settings = (f"solver.mode=partial\ndata.sinogram={_zero_sinogram(tmp_path)}\n"
+                f"prior.file={prior}\nroi.radius=0.35\nv.radius=0.2\n")
+    assert _reconstruct_exit(tmp_path, settings) == 2
+    _assert_one_line_config_error(capsys, prior)

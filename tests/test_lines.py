@@ -164,3 +164,13 @@ def test_lineset_3d():
     assert np.abs(np.linalg.norm(ls.thetas, axis=1) - 1.0).max() < 1e-12
     assert np.abs(np.einsum("ij,ij->i", ls.zs, ls.thetas)).max() < 1e-12
     assert (ls.thetas[:, 2] > 0).all()  # orientation quotient: half sphere
+
+
+def test_lineset_arrays_read_only(grid):
+    # projector caches key on the set's identity, so in-place edits must fail
+    ls = rt.make_lineset(grid, 20, 30)
+    kept = rt.filter_roi(ls, rt.disk_mask(grid, (0.0, 0.0), 0.3))
+    for s in (ls, kept):
+        for arr in (s.thetas, s.zs, s.weights, s.angle_index, s.offset_index):
+            with pytest.raises(ValueError):
+                arr[0] = 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import roitomo as rt
-from roitomo import solver
+from roitomo import project, solver
 from roitomo.errors import SolverFailure
 
 
@@ -140,3 +140,43 @@ def test_probe_empty_support():
     grid = rt.Grid(2, 64, 1.0)
     with pytest.raises(rt.RegionError):
         solver.null_space_probe(rt.full_mask(grid), grid, iters=2)
+
+
+def _count_assemblies(monkeypatch):
+    calls = []
+    assemble = project.assemble_matrix
+
+    def counted(grid, lineset):
+        calls.append(lineset)
+        return assemble(grid, lineset)
+
+    monkeypatch.setattr(project, "assemble_matrix", counted)
+    return calls
+
+
+def test_solves_and_probe_reuse_cached_matrix(setup, monkeypatch):
+    grid, roi, region, kept, spec, truth, data = setup
+    rt.xray_forward(truth, kept)
+    calls = _count_assemblies(monkeypatch)
+    solver.solve_scalar_partial(solver.PartialDataProblem(
+        roi=roi, region=region, data=data, prior=spec.annihilator(2),
+        lambda_prior=0.5, max_iter=5), grid)
+    solver.solve_vector_partial(solver.PartialDataProblem(
+        roi=roi, region=region, data=data, prior=rt.laplacian_power(2, 1),
+        lambda_prior=0.5, max_iter=5), grid)
+    solver.null_space_probe(roi, grid, iters=1, lineset=kept, inner_iters=5)
+    assert calls == []
+
+
+def test_uncached_solve_matches_cached(setup, monkeypatch):
+    grid, roi, region, kept, spec, truth, data = setup
+    p = solver.PartialDataProblem(
+        roi=roi, region=region, data=data, prior=spec.annihilator(2),
+        lambda_prior=0.5, max_iter=30,
+    )
+    cached, _ = solver.solve_scalar_partial(p, grid)
+    monkeypatch.setattr(project, "_MATRIX_NNZ_LIMIT", 0)
+    calls = _count_assemblies(monkeypatch)
+    uncached, _ = solver.solve_scalar_partial(p, grid)
+    assert len(calls) == 1
+    assert np.array_equal(cached.values, uncached.values)
