@@ -2,8 +2,13 @@
 
 Only lines meeting a small disk are measured.  Without structural knowledge
 the interior problem is famously non-unique and the least-squares solution
-misses most of the object; adding the annihilator penalty on the inner disk
-recovers it everywhere.  Takes a few minutes.
+misses most of the object.  The demo compares it with a solve that adds the
+annihilator penalty on the inner disk.  At the current settings the penalty
+does not help: after 2000 iterations the constrained error is 59.1% against
+40.7% unconstrained.  Both numbers are where conjugate gradients stopped, not
+minimizers, since the discrete objective has a large null space; ROADMAP item
+1 (a well-posed partial-data estimator) is the open work that should change
+them.  Takes under a minute.
 """
 
 import os

@@ -2,14 +2,18 @@
 
 Every line is traced with midpoint quadrature at step h/2 over the interval
 covering the grid's circumscribing ball; samples are multilinearly
-interpolated, samples outside the box get zero weight.  The forward map and
-the back-projection use the same (index, weight) decomposition, so the
-back-projection is the exact transpose of the forward map with respect to the
-weighted line pairing and the cell-volume grid pairing.
+interpolated, samples outside the box get zero weight.
 
-Moderate (grid, line set) pairs are backed by a cached sparse matrix so
-iterative solvers and repeated applications pay the geometry cost once; large
-single-pass jobs stream the geometry chunk by chunk instead.
+One function, ``_row_blocks``, produces the geometry: for a chunk of lines
+it returns that chunk's rows of the quadrature matrix X as a CSR block over
+the grid padded by one node per side.  Both maps are built from these blocks,
+so the back-projection is the exact transpose of the forward map with respect
+to the weighted line pairing and the cell-volume grid pairing.
+
+Moderate (grid, line set) pairs are backed by a cached sparse matrix, stacked
+from the blocks once, so iterative solvers and repeated applications pay the
+geometry cost once.  Large single-pass jobs apply each block to all their
+arrays at once and drop it.
 """
 
 from __future__ import annotations
@@ -22,11 +26,16 @@ from scipy import sparse
 
 from .grid import Grid
 
-# target number of (line, step) samples per vectorized chunk
-_CHUNK_SAMPLES = 4_000_000
+# target number of (line, step) samples per row block; a chunk's per-sample
+# arrays (about 2 MB each) then stay in cache, which made the streamed maps
+# faster than with 4M-sample chunks
+_CHUNK_SAMPLES = 250_000
 # build and cache a sparse matrix when the estimated nonzeros stay below this
 _MATRIX_NNZ_LIMIT = 30_000_000
-_CACHE_SIZE = 2
+# one region-of-interest study holds three line sets at once (the probe's,
+# the vector solve's and the scalar solves' kept sets), so two entries made
+# each round of it re-assemble all three
+_CACHE_SIZE = 3
 
 _projector_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 
@@ -44,52 +53,71 @@ def line_quadrature(grid: Grid):
     return s, step
 
 
-def _axis_geometry(grid: Grid, thetas: np.ndarray, zs: np.ndarray, s: np.ndarray):
-    """Per-axis floor indices and interpolation fractions.
+def _padded_shape(grid: Grid) -> tuple:
+    return tuple(size + 2 for size in grid.size)
 
-    Samples interpolate the zero-extended field: a sample within one cell of
-    the box boundary keeps the corner weights that fall on real nodes, so
-    boundary nodes receive their full deposit mass under the transpose.
+
+def _interior(grid: Grid) -> tuple:
+    return (slice(1, -1),) * grid.n
+
+
+def _row_blocks(grid: Grid, lineset):
+    """Yield ``(line slice, block)`` per chunk of lines; ``block`` is CSR.
+
+    The block holds the chunk's rows of X over the grid padded by one node on
+    each side.  Only samples strictly inside the interpolation support
+    (-1 < g_j < size_j on every axis) are kept, and all 2^n corners of such a
+    sample lie in the padded grid, so no corner needs a mask or a clip.  Pad
+    nodes stand for the zero extension: their columns carry weight but only
+    ever meet zeros.  Each kept sample contributes its 2^n corners in
+    ``product`` order, so a row may repeat a column and may hold zero weights.
     """
+    s, ds = line_quadrature(grid)
     inv_h = 1.0 / grid.h
-    i0, t = [], []
-    for j in range(grid.n):
-        g = (zs[:, j : j + 1] + s[None, :] * thetas[:, j : j + 1] + grid.extent[j]) * inv_h
-        np.clip(g, -1.0, float(grid.size[j]), out=g)
-        ij = np.floor(g).astype(np.int64)
-        np.clip(ij, -1, grid.size[j] - 1, out=ij)
-        g -= ij
-        np.clip(g, 0.0, 1.0, out=g)
-        i0.append(ij)
-        t.append(g)
-    return i0, t
-
-
-def _strides(grid: Grid):
+    shape = _padded_shape(grid)
     strides = np.ones(grid.n, dtype=np.int64)
     for j in range(grid.n - 2, -1, -1):
-        strides[j] = strides[j + 1] * grid.size[j + 1]
-    return strides
-
-
-def _corner_iter(grid: Grid, i0, t):
-    """Yield (flat index, weight) per interpolation corner of a chunk.
-
-    Corners falling outside the box get zero weight (zero extension); their
-    indices are clipped into range so gathers and scatters stay in bounds.
-    """
-    strides = _strides(grid)
-    for bits in product((0, 1), repeat=grid.n):
-        w = None
-        idx = None
-        for j, b in enumerate(bits):
-            c = i0[j] + b
-            ok = (c >= 0) & (c < grid.size[j])
-            wj = (t[j] if b else 1.0 - t[j]) * ok
-            cc = np.clip(c, 0, grid.size[j] - 1) * strides[j]
-            w = wj if w is None else w * wj
-            idx = cc if idx is None else idx + cc
-        yield idx, w
+        strides[j] = strides[j + 1] * shape[j + 1]
+    n_cols = int(np.prod(shape))
+    index = np.int32 if n_cols < 2**31 else np.int64
+    corners = list(product((0, 1), repeat=grid.n))
+    offsets = (np.array(corners) @ strides).astype(index)
+    for sl in _chunks(len(lineset.thetas), len(s)):
+        # grid coordinates (z + s theta + extent) / h of every sample
+        g = []
+        inside = np.ones((sl.stop - sl.start, len(s)), dtype=bool)
+        for j in range(grid.n):
+            gj = s[None, :] * lineset.thetas[sl, j : j + 1]
+            gj += lineset.zs[sl, j : j + 1]
+            gj += grid.extent[j]
+            gj *= inv_h
+            inside &= gj > -1.0
+            inside &= gj < grid.size[j]
+            g.append(gj)
+        kept = np.flatnonzero(inside)
+        base = np.zeros(len(kept))
+        frac = []
+        for j, gj in enumerate(g):
+            t = gj.reshape(-1).take(kept)
+            cell = np.floor(t)
+            base += (cell + 1.0) * strides[j]
+            t -= cell
+            frac.append((1.0 - t, t))
+        weights = np.empty((len(kept), len(corners)))
+        for c, bits in enumerate(corners):
+            w = weights[:, c]
+            np.multiply(frac[0][bits[0]], frac[1][bits[1]], out=w)
+            for j in range(2, grid.n):
+                w *= frac[j][bits[j]]
+        weights *= ds
+        cols = base.astype(index)[:, None] + offsets
+        indptr = np.zeros(sl.stop - sl.start + 1, dtype=index)
+        np.cumsum(len(corners) * np.count_nonzero(inside, axis=1), out=indptr[1:])
+        block = sparse.csr_matrix(
+            (weights.reshape(-1), cols.reshape(-1), indptr),
+            shape=(sl.stop - sl.start, n_cols),
+        )
+        yield sl, block
 
 
 def _chunks(n_lines: int, n_steps: int):
@@ -103,17 +131,13 @@ def forward_many(grid: Grid, lineset, stacks: list) -> np.ndarray:
     proj = _cached_projector(grid, lineset)
     if proj is not None:
         return np.stack([proj.forward(np.asarray(v)) for v in stacks])
-    s, ds = line_quadrature(grid)
-    flats = [np.ascontiguousarray(v).reshape(-1) for v in stacks]
-    out = np.zeros((len(stacks), len(lineset.thetas)))
-    for sl in _chunks(len(lineset.thetas), len(s)):
-        geo = _axis_geometry(grid, lineset.thetas[sl], lineset.zs[sl], s)
-        accs = [np.zeros(geo[0][0].shape) for _ in flats]
-        for idx, w in _corner_iter(grid, *geo):
-            for acc, flat in zip(accs, flats):
-                acc += w * flat[idx]
-        for m, acc in enumerate(accs):
-            out[m, sl] = ds * acc.sum(axis=1)
+    padded = np.zeros(_padded_shape(grid) + (len(stacks),))
+    for m, v in enumerate(stacks):
+        padded[_interior(grid) + (m,)] = v
+    padded = padded.reshape(-1, len(stacks))
+    out = np.empty((len(stacks), len(lineset.thetas)))
+    for sl, block in _row_blocks(grid, lineset):
+        out[:, sl] = (block @ padded).T
     return out
 
 
@@ -126,50 +150,34 @@ def xray_backproject_values(grid: Grid, lineset, line_values: np.ndarray) -> np.
     proj = _cached_projector(grid, lineset)
     if proj is not None:
         return proj.backproject(np.asarray(line_values, dtype=float))
-    s, ds = line_quadrature(grid)
-    out = np.zeros(grid.n_nodes)
     contrib = lineset.weights * np.asarray(line_values, dtype=float)
-    for sl in _chunks(len(lineset.thetas), len(s)):
-        geo = _axis_geometry(grid, lineset.thetas[sl], lineset.zs[sl], s)
-        line_part = contrib[sl][:, None]
-        for idx, w in _corner_iter(grid, *geo):
-            out += np.bincount(
-                idx.reshape(-1),
-                weights=(w * line_part).reshape(-1),
-                minlength=grid.n_nodes,
-            )
-    out *= ds / grid.h**grid.n
-    return out.reshape(grid.shape)
+    out = np.zeros(int(np.prod(_padded_shape(grid))))
+    for sl, block in _row_blocks(grid, lineset):
+        out += block.T @ contrib[sl]
+    return out.reshape(_padded_shape(grid))[_interior(grid)] / grid.h**grid.n
 
 
 def assemble_matrix(grid: Grid, lineset) -> sparse.csr_matrix:
     """Sparse quadrature matrix X with rows = lines, columns = nodes.
 
-    ``X @ f.ravel()`` equals the streamed forward map exactly (same geometry,
-    duplicates merged).  Chunks are deduplicated immediately so assembly never
-    holds the raw per-sample triplets for the whole set at once.
+    Built from the streamed maps' own row blocks: each block keeps only the
+    columns of real nodes, merges its duplicates and drops zero weights, and
+    the blocks are stacked in line order.  ``X @ f.ravel()`` therefore equals
+    the streamed forward map up to summation order, and X is canonical CSR.
     """
-    s, ds = line_quadrature(grid)
-    n_lines = len(lineset.thetas)
-    total = None
-    for sl in _chunks(n_lines, len(s)):
-        geo = _axis_geometry(grid, lineset.thetas[sl], lineset.zs[sl], s)
-        n_steps = geo[0][0].shape[1]
-        rows_base = np.repeat(np.arange(sl.start, sl.stop), n_steps)
-        parts = []
-        for idx, w in _corner_iter(grid, *geo):
-            wf = w.reshape(-1)
-            keep = wf != 0.0
-            parts.append((rows_base[keep], idx.reshape(-1)[keep], ds * wf[keep]))
-        rows = np.concatenate([p[0] for p in parts])
-        cols = np.concatenate([p[1] for p in parts])
-        data = np.concatenate([p[2] for p in parts])
-        block = sparse.coo_matrix(
-            (data, (rows, cols)), shape=(n_lines, grid.n_nodes)
-        ).tocsr()
-        total = block if total is None else total + block
-    total.sum_duplicates()
-    return total
+    shape = _padded_shape(grid)
+    nodes = np.arange(int(np.prod(shape))).reshape(shape)[_interior(grid)].reshape(-1)
+    blocks = []
+    for _, block in _row_blocks(grid, lineset):
+        # CSC column selection keeps rows sorted per column, and the
+        # transpose back sorts each row's columns, so merging is linear
+        rows = block.tocsc()[:, nodes].tocsr()
+        rows.sum_duplicates()
+        rows.eliminate_zeros()
+        blocks.append(rows)
+    if not blocks:
+        return sparse.csr_matrix((0, grid.n_nodes))
+    return sparse.vstack(blocks, format="csr")
 
 
 class Projector:

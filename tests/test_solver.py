@@ -180,3 +180,29 @@ def test_uncached_solve_matches_cached(setup, monkeypatch):
     uncached, _ = solver.solve_scalar_partial(p, grid)
     assert len(calls) == 1
     assert np.array_equal(cached.values, uncached.values)
+
+
+def test_region_study_line_sets_stay_cached(setup, monkeypatch):
+    # one study holds three line sets at once: the probe's, the vector
+    # solve's (sampled mask) and the scalar solves' (closed-form disk)
+    grid, roi, region, kept, spec, truth, data = setup
+    full = rt.make_lineset(grid, 120, 144)
+    sampled = rt.RegionMask(grid, roi.inside)
+    kept_v = rt.filter_roi(full, sampled)
+    probe_roi = rt.disk_mask(grid, (0.0, 0.0), 0.25)
+    probe_lines = rt.filter_roi(full, probe_roi)
+    scalar = solver.PartialDataProblem(
+        roi=roi, region=region, data=data, prior=spec.annihilator(2),
+        lambda_prior=0.5, max_iter=2)
+    vector = solver.PartialDataProblem(
+        roi=sampled, region=region, data=rt.Sinogram(kept_v, np.ones(len(kept_v))),
+        prior=rt.laplacian_power(2, 1), lambda_prior=0.5, max_iter=2)
+    calls = _count_assemblies(monkeypatch)
+    per_pass = []
+    for _ in range(2):
+        before = len(calls)
+        solver.null_space_probe(probe_roi, grid, iters=1, lineset=probe_lines, inner_iters=2)
+        solver.solve_vector_partial(vector, grid)
+        solver.solve_scalar_partial(scalar, grid)
+        per_pass.append(len(calls) - before)
+    assert per_pass[1] == 0
