@@ -123,13 +123,11 @@ def _lineset_header(n: int, with_value: bool) -> str:
 def _write_lineset_rows(fh, ls: LineSet, values=None):
     fh.write(_lineset_meta_line(ls))
     fh.write(_lineset_header(ls.n, values is not None))
-    for k in range(len(ls)):
-        row = [str(int(ls.angle_index[k])), str(int(ls.offset_index[k]))]
-        row += [_fmt(x) for x in ls.thetas[k]]
-        row += [_fmt(x) for x in ls.zs[k]]
-        if values is not None:
-            row.append(_fmt(values[k]))
-        fh.write(",".join(row) + "\n")
+    cols = [ls.angle_index, ls.offset_index, *ls.thetas.T, *ls.zs.T]
+    if values is not None:
+        cols.append(np.asarray(values, dtype=np.float64))
+    row = ",".join(["%d", "%d"] + [_FMT] * (len(cols) - 2)) + "\n"
+    fh.write("".join(row % r for r in zip(*(c.tolist() for c in cols))))
 
 
 def write_lineset(path, ls: LineSet):

@@ -6,23 +6,27 @@ negative powers it is the only ill-defined bin, and compactly supported
 fields carry almost no mean on a padded box).  Keeping the multiplier free of
 any pad-and-crop round trip makes the semigroup and inverse-pair identities
 hold to round-off.  Reconstruction pipelines, which do need whole-space
-behaviour, back-project onto the padded box first and apply the multiplier
-there before cropping.
+behaviour, apply the half-Laplacian on the data side instead: a ramp filter
+over each direction's offsets, then a node-driven back-projection.  The
+filter's whole-space padding lives in its lag kernel, sampled once per call,
+so the output equals a filter on the zero-padded offset lattice to rounding
+without ever forming that lattice.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExponentError
-from .grid import Grid, ScalarField, crop_padded
+from .grid import Grid, ScalarField
 from .lines import LineSet
 from .phantoms import PhantomSpec, sample_phantom
-from .xray_scalar import Sinogram, xray_backproject, xray_forward
+from .xray_scalar import Sinogram, xray_forward
 
 
 def analytic_c0(n: int) -> float:
@@ -112,9 +116,12 @@ def mass_from_sinogram(g: Sinogram, n: int) -> float:
     return float(np.sum(g.lineset.weights * g.values)) / sphere_area(n)
 
 
-# 1-D zero-padding factor for the offset-side half-Laplacian; the filtered
-# projections decay quadratically, so a generous pad is cheap and removes
-# wrap-around below discretization error
+# zero-padding factor, per offset axis, of the lattice on which the ramp
+# kernel is sampled; the filtered projections decay quadratically, so a
+# generous pad removes wrap-around below discretization error.  The pad lives
+# only in the kernel: profiles vanish outside the offset lattice and the
+# output is cropped to it, so a filter on the padded lattice reads the kernel
+# at lags |d| < n_offsets alone.
 _OFFSET_PAD = 32
 
 # cosine rolloff of the ramp between these fractions of the offset-lattice
@@ -130,14 +137,32 @@ def _ramp_multiplier(k: np.ndarray, dz: float) -> np.ndarray:
     return k * np.cos(0.5 * np.pi * t) ** 2
 
 
+def _ramp_lag_kernel(n_offsets: int, n_axes: int, dz: float) -> np.ndarray:
+    """Ramp kernel of the padded offset lattice at lags ``-n_offsets`` to
+    ``n_offsets - 1`` on each of ``n_axes`` axes, in the order of a length
+    ``2 n_offsets`` DFT."""
+    m = _OFFSET_PAD * n_offsets
+    k1 = 2.0 * np.pi * np.fft.fftfreq(m, d=dz)
+    k = np.sqrt(sum(c * c for c in np.meshgrid(*([k1] * n_axes), indexing="ij", sparse=True)))
+    kernel = np.fft.ifftn(_ramp_multiplier(k, dz)).real
+    lags = np.fft.ifftshift(np.arange(-n_offsets, n_offsets)) % m
+    return kernel[np.ix_(*([lags] * n_axes))]
+
+
 def ramp_filter_offsets(g: Sinogram) -> Sinogram:
     """Half-Laplacian in the offset variable, per direction.
 
     The half-Laplacian commutes with back-projection: filtering each
     direction's offset profile with the multiplier |k| equals applying the
     field-side operator to the back-projection, mode by mode.  Doing it on
-    the data side keeps every whole-space tail one-dimensional, where padding
-    costs nothing.
+    the data side keeps every whole-space tail in the offset variables.
+
+    The filter is the multiplier's circular convolution on the offset lattice
+    zero-padded ``_OFFSET_PAD`` times per axis, cropped back to the lattice.
+    Only lags shorter than the lattice reach the cropped output, so the
+    padded-lattice kernel is sampled once at those lags and every direction
+    is convolved at twice the lattice size; the result equals the padded FFT
+    filter to rounding.
     """
     ls = g.lineset
     per = ls.n_offsets ** (ls.n - 1)
@@ -146,22 +171,14 @@ def ramp_filter_offsets(g: Sinogram) -> Sinogram:
     dz = ls.offset_spacing
     if dz <= 0:
         raise ValueError("line set does not carry its offset spacing")
-    if ls.n == 2:
-        rows = g.values.reshape(ls.n_angles, ls.n_offsets)
-        m = _OFFSET_PAD * ls.n_offsets
-        k = np.abs(2.0 * np.pi * np.fft.fftfreq(m, d=dz))
-        spec = np.fft.fft(rows, n=m, axis=1) * _ramp_multiplier(k, dz)[None, :]
-        filtered = np.fft.ifft(spec, axis=1).real[:, : ls.n_offsets]
-    else:
-        rows = g.values.reshape(ls.n_angles, ls.n_offsets, ls.n_offsets)
-        m = _OFFSET_PAD * ls.n_offsets
-        k1 = 2.0 * np.pi * np.fft.fftfreq(m, d=dz)
-        kk = np.sqrt(k1[:, None] ** 2 + k1[None, :] ** 2)
-        spec = np.fft.fft2(rows, s=(m, m), axes=(1, 2)) * _ramp_multiplier(kk, dz)[None, :, :]
-        filtered = np.fft.ifft2(spec, axes=(1, 2)).real[
-            :, : ls.n_offsets, : ls.n_offsets
-        ]
-    return Sinogram(ls, filtered.reshape(-1))
+    lattice = (ls.n_offsets,) * (ls.n - 1)
+    size = tuple(2 * s for s in lattice)
+    axes = tuple(range(1, ls.n))
+    kernel = np.fft.rfftn(_ramp_lag_kernel(ls.n_offsets, ls.n - 1, dz))
+    rows = g.values.reshape((ls.n_angles,) + lattice)
+    spec = np.fft.rfftn(rows, s=size, axes=axes) * kernel
+    filtered = np.fft.irfftn(spec, s=size, axes=axes)
+    return Sinogram(ls, filtered[(slice(None),) + tuple(slice(s) for s in lattice)].reshape(-1))
 
 
 def _warn_if_filtered(ls: LineSet):
@@ -173,67 +190,89 @@ def _warn_if_filtered(ls: LineSet):
         )
 
 
-def backproject_pointwise(g: Sinogram, grid: Grid, component: int | None = None) -> np.ndarray:
+def backproject_pointwise(
+    g: Sinogram, grid: Grid, components: Sequence[int] | None = None
+) -> np.ndarray:
     """Node-driven back-projection: interpolate each direction's offset
     profile at the node's perpendicular offset and sum over directions.
 
     This evaluates the same integral as the matched transpose but as a plain
     quadrature per node; reconstruction uses it because its error is a clean
-    second-order interpolation error with no lattice beat.  With ``component``
-    set, each direction is weighted by that component (the vector-transform
-    back-projection).
+    second-order interpolation error with no lattice beat.  With
+    ``components`` None the result has the grid's shape.  With a sequence of
+    component indices it is a stack with one back-projection per entry, each
+    direction weighted by that component of its unit vector (the
+    vector-transform back-projection); every direction's profile is
+    interpolated once for all entries.
     """
     ls = g.lineset
     n = ls.n
-    per = ls.n_offsets ** (n - 1)
+    no = ls.n_offsets
+    per = no ** (n - 1)
     if ls.filtered or len(ls) != ls.n_angles * per:
         raise ValueError("node-driven back-projection needs the full lattice")
     dz = ls.offset_spacing
-    mesh = grid.coords()
-    out = np.zeros(grid.shape)
-    thetas = ls.thetas.reshape(ls.n_angles, per, n)[:, 0, :]
-    values = g.values.reshape((ls.n_angles,) + (ls.n_offsets,) * (n - 1))
     weight_angle = float(ls.weights[0]) / dz ** (n - 1)  # direction measure
-    first = ls.zs.reshape(ls.n_angles, per, n)[:, 0, :]
+    # one trailing zero per offset axis: a node clipped to the last offset
+    # reads it with weight zero, so no cell index needs a second clip
+    table = np.pad(
+        weight_angle * g.values.reshape((ls.n_angles,) + (no,) * (n - 1)),
+        [(0, 0)] + [(0, 1)] * (n - 1),
+    ).reshape(ls.n_angles, -1)
+    strides = [(no + 1) ** (n - 2 - k) for k in range(n - 1)]
+    origin, basis = _offset_frame(ls)
+    shift = np.einsum("akj,aj->ak", basis, origin) / dz
+    # node coordinates along grid axis j, in offset cells, shaped to broadcast
+    node_axes = [
+        ax.reshape((-1,) + (1,) * (n - 1 - j)) / dz for j, ax in enumerate(grid.axes())
+    ]
+    if components is None:
+        out = np.zeros(grid.shape)
+    else:
+        components = list(components)
+        out = np.zeros((len(components),) + grid.shape)
+        thetas = ls.thetas.reshape(ls.n_angles, per, n)[:, 0, :]
+        comp_weights = thetas[:, components].reshape((ls.n_angles, len(components)) + (1,) * n)
     for a in range(ls.n_angles):
-        theta = thetas[a]
-        z0 = first[a]
-        w_a = weight_angle if component is None else weight_angle * theta[component]
-        if n == 2:
-            perp = np.array([-theta[1], theta[0]])
-            start = float(np.dot(z0, perp))
-            coord = (mesh[0] * perp[0] + mesh[1] * perp[1] - start) / dz
-            idx = np.clip(np.floor(coord).astype(np.int64), 0, per - 2)
-            t = np.clip(coord - idx, 0.0, 1.0)
-            row = values[a]
-            out += w_a * ((1.0 - t) * row[idx] + t * row[idx + 1])
+        base = None
+        fracs = []
+        for e, s in zip(basis[a], shift[a]):
+            c = node_axes[0] * e[0] - s
+            for j in range(1, n):
+                c = c + node_axes[j] * e[j]
+            np.clip(c, 0.0, no - 1, out=c)
+            cell = np.floor(c)
+            c -= cell
+            fracs.append(c)
+            base = cell if base is None else base * (no + 1) + cell
+        profile = _lerp(table[a], base.astype(np.intp), strides, fracs)
+        if components is None:
+            out += profile
         else:
-            row = values[a]
-            e1, e2 = _plane_basis(theta, z0, ls, a)
-            c1 = sum(mesh[j] * e1[j] for j in range(3))
-            c2 = sum(mesh[j] * e2[j] for j in range(3))
-            u = (c1 - float(np.dot(e1, z0))) / dz
-            v = (c2 - float(np.dot(e2, z0))) / dz
-            iu = np.clip(np.floor(u).astype(np.int64), 0, ls.n_offsets - 2)
-            iv = np.clip(np.floor(v).astype(np.int64), 0, ls.n_offsets - 2)
-            tu = np.clip(u - iu, 0.0, 1.0)
-            tv = np.clip(v - iv, 0.0, 1.0)
-            out += w_a * (
-                (1 - tu) * (1 - tv) * row[iu, iv]
-                + tu * (1 - tv) * row[iu + 1, iv]
-                + (1 - tu) * tv * row[iu, iv + 1]
-                + tu * tv * row[iu + 1, iv + 1]
-            )
+            out += comp_weights[a] * profile
     return out
 
 
-def _plane_basis(theta, z0, ls, a):
-    """Orthonormal offset-plane basis consistent with the lattice layout."""
-    per = ls.n_offsets
-    block = ls.zs.reshape(ls.n_angles, per, per, 3)
-    e1 = block[a, 1, 0] - block[a, 0, 0]
-    e2 = block[a, 0, 1] - block[a, 0, 0]
-    return e1 / np.linalg.norm(e1), e2 / np.linalg.norm(e2)
+def _offset_frame(ls: LineSet):
+    """Each direction's first lattice offset and the unit steps along its
+    offset axes, read from the lattice layout: ``(A, n)`` and ``(A, n-1, n)``."""
+    block = ls.zs.reshape((ls.n_angles,) + (ls.n_offsets,) * (ls.n - 1) + (ls.n,))
+    origin = block[(slice(None),) + (0,) * (ls.n - 1)]
+    steps = []
+    for k in range(ls.n - 1):
+        step = block[(slice(None),) + tuple(int(i == k) for i in range(ls.n - 1))] - origin
+        steps.append(step / np.linalg.norm(step, axis=1, keepdims=True))
+    return origin, np.stack(steps, axis=1)
+
+
+def _lerp(row: np.ndarray, base: np.ndarray, strides, fracs):
+    """Multilinear interpolation of the flat table ``row`` in the cells whose
+    first corner is ``base``, one axis (stride, fraction) at a time."""
+    if not strides:
+        return row[base]
+    lo = _lerp(row, base, strides[1:], fracs[1:])
+    hi = _lerp(row[strides[0]:], base, strides[1:], fracs[1:])
+    return lo + fracs[0] * (hi - lo)
 
 
 def reconstruct_raw_scalar(g: Sinogram, grid: Grid) -> ScalarField:
@@ -241,7 +280,7 @@ def reconstruct_raw_scalar(g: Sinogram, grid: Grid) -> ScalarField:
 
     Evaluated in the commuted order (offset-side filter, then node-driven
     back-projection): the operator is the same, but every slowly decaying
-    tail stays on the data side where zero-padding is cheap.
+    tail stays on the data side, where the padding reduces to a lag kernel.
     """
     return ScalarField(grid, backproject_pointwise(ramp_filter_offsets(g), grid))
 

@@ -262,13 +262,13 @@ def reconstruct_raw_solenoidal(g: Sinogram, grid: Grid) -> VectorField:
 
     The offset-side filter acts per direction before the node-driven vector
     back-projection; componentwise this equals the field-side half-Laplacian
-    of the back-projection, with all slow tails handled in one dimension.
+    of the back-projection, with all slow tails handled in the offset
+    variables.  One back-projection call serves every component: each
+    direction's filtered profile is interpolated once and weighted by each
+    component of the direction.
     """
-    filtered = ramp_filter_offsets(g)
-    comps = [
-        backproject_pointwise(filtered, grid, component=i) for i in range(grid.n)
-    ]
-    return VectorField(grid, np.stack(comps))
+    comps = backproject_pointwise(ramp_filter_offsets(g), grid, components=range(grid.n))
+    return VectorField(grid, comps)
 
 
 def reconstruct_full_solenoidal(

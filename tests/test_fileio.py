@@ -80,6 +80,31 @@ def test_csv_deterministic(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    g = rt.Grid(2, 32, 1.0)
+    kept = rt.filter_roi(rt.make_lineset(g, 12, 16), rt.disk_mask(g, (0.1, -0.2), 0.3))
+    f = rt.sample_phantom(rt.PhantomSpec.gaussian(sigma=0.2), g)
+    sino = rt.xray_forward(f, kept)
+
+    def per_row(ls, values=None):
+        # one row at a time, one value at a time, through the scalar formatter
+        out = fileio._lineset_meta_line(ls) + fileio._lineset_header(ls.n, values is not None)
+        for k in range(len(ls)):
+            row = [str(int(ls.angle_index[k])), str(int(ls.offset_index[k]))]
+            row += [fileio._fmt(x) for x in ls.thetas[k]]
+            row += [fileio._fmt(x) for x in ls.zs[k]]
+            if values is not None:
+                row.append(fileio._fmt(values[k]))
+            out += ",".join(row) + "\n"
+        return out.encode()
+
+    assert 0 < len(kept) < len(rt.make_lineset(g, 12, 16))
+    fileio.write_sinogram(tmp_path / "sino.csv", sino)
+    fileio.write_lineset(tmp_path / "lines.csv", kept)
+    assert (tmp_path / "sino.csv").read_bytes() == per_row(kept, sino.values)
+    assert (tmp_path / "lines.csv").read_bytes() == per_row(kept)
+
+
 def test_pgm_format(tmp_path):
     vals = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     path = tmp_path / "img.pgm"
