@@ -109,21 +109,23 @@ def _resolve_out(cfg, args):
     return out
 
 
-def _stamp(out, cfg, command):
+def _stamp(out, cfg, args, command):
     resolved = dict(cfg)
     resolved["command"] = command
     fileio.write_config(os.path.join(out, "config.resolved"), resolved)
-    fileio.write_report(
-        os.path.join(out, "versions.txt"),
-        [
-            ("roitomo", __version__),
-            ("numpy", np.__version__),
-            ("scipy", scipy.__version__),
-        ],
-    )
+    rows = [
+        ("roitomo", __version__),
+        ("numpy", np.__version__),
+        ("scipy", scipy.__version__),
+    ]
+    if args.thread_cap is not None:
+        threads, applied = args.thread_cap
+        rows.append(("threads", f"{threads} applied={int(applied)}"))
+    fileio.write_report(os.path.join(out, "versions.txt"), rows)
 
 
 def _apply_threads(cfg, args):
+    """Cap BLAS threads; returns ``(cap, applied)``, or None without a cap."""
     threads = args.threads or cfg.get("threads") or os.environ.get("ROITOMO_THREADS")
     if threads is None:
         return None
@@ -132,11 +134,10 @@ def _apply_threads(cfg, args):
         raise ConfigError("threads must be >= 1")
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(threads)
     except ImportError:
-        pass
-    return threads
+        return threads, False
+    threadpoolctl.threadpool_limits(threads)
+    return threads, True
 
 
 def cmd_phantom(cfg, args) -> int:
@@ -149,7 +150,7 @@ def cmd_phantom(cfg, args) -> int:
     op = spec.annihilator(grid.n)
     if op is not None:
         fileio.write_polyop(os.path.join(out, "annihilator.polyop"), op)
-    _stamp(out, cfg, "phantom")
+    _stamp(out, cfg, args, "phantom")
     return EXIT_OK
 
 
@@ -167,7 +168,7 @@ def cmd_forward(cfg, args) -> int:
     fileio.write_lineset(os.path.join(out, "lineset.csv"), ls)
     fileio.write_sinogram(os.path.join(out, "sinogram.csv"), sino)
     fileio.write_pgm(os.path.join(out, "sinogram.pgm"), sinogram_image(sino))
-    _stamp(out, cfg, "forward")
+    _stamp(out, cfg, args, "forward")
     return EXIT_OK
 
 
@@ -203,7 +204,7 @@ def cmd_reconstruct(cfg, args) -> int:
         fileio.write_field(os.path.join(out, "reconstruction.roif"), recon)
         fileio.write_pgm(os.path.join(out, "reconstruction.pgm"), recon.values)
         fileio.write_report(os.path.join(out, "report.txt"), pairs)
-        _stamp(out, cfg, "reconstruct")
+        _stamp(out, cfg, args, "reconstruct")
         return EXIT_OK
 
     if mode != "partial":
@@ -233,7 +234,7 @@ def cmd_reconstruct(cfg, args) -> int:
         if exc.report is not None:
             with open(os.path.join(out, "report.txt"), "w") as fh:
                 fh.write(exc.report.to_text())
-        _stamp(out, cfg, "reconstruct")
+        _stamp(out, cfg, args, "reconstruct")
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     fileio.write_field(os.path.join(out, "reconstruction.roif"), recon)
@@ -241,7 +242,7 @@ def cmd_reconstruct(cfg, args) -> int:
     with open(os.path.join(out, "report.txt"), "w") as fh:
         fh.write("mode=partial\n")
         fh.write(report.to_text())
-    _stamp(out, cfg, "reconstruct")
+    _stamp(out, cfg, args, "reconstruct")
     return EXIT_OK
 
 
@@ -261,7 +262,7 @@ def cmd_verify(cfg, args) -> int:
         rows.append((r.name, f"{status} value={r.value:.17g} threshold={r.threshold:.17g}"))
         ok &= r.passed
     fileio.write_report(os.path.join(out, "verify.txt"), rows)
-    _stamp(out, cfg, "verify")
+    _stamp(out, cfg, args, "verify")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -287,7 +288,7 @@ def cmd_probe(cfg, args) -> int:
             ("support_violation", result.support_violation),
         ],
     )
-    _stamp(out, cfg, "probe")
+    _stamp(out, cfg, args, "probe")
     return EXIT_OK
 
 
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares command={declared!r}, invoked {args.command!r}"
             )
-        _apply_threads(cfg, args)
+        args.thread_cap = _apply_threads(cfg, args)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -147,23 +147,23 @@ def _read_lineset_lines(lines):
     meta = dict(p.split("=", 1) for p in meta_line[1:].split() if "=" in p)
     n = int(meta["n"])
     header = lines[1].strip().split(",")
-    rows = [ln.strip().split(",") for ln in lines[2:] if ln.strip()]
-    data = np.array([[float(x) for x in r] for r in rows]) if rows else np.zeros((0, 2 + 2 * n))
-    thetas = data[:, 2 : 2 + n] if len(rows) else np.zeros((0, n))
-    zs = data[:, 2 + n : 2 + 2 * n] if len(rows) else np.zeros((0, n))
-    weight = float(meta["weight"])
+    rows = [ln for ln in lines[2:] if ln.strip()]
+    # an empty set has no rows, and loadtxt warns on empty input
+    data = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.zeros((0, len(header)))
+    if data.shape[1] != len(header):
+        raise ValueError(f"rows have {data.shape[1]} columns, header has {len(header)}")
     ls = LineSet(
-        thetas=thetas,
-        zs=zs,
-        weights=np.full(len(rows), weight),
-        angle_index=data[:, 0].astype(np.int32) if len(rows) else np.zeros(0, np.int32),
-        offset_index=data[:, 1].astype(np.int32) if len(rows) else np.zeros(0, np.int32),
+        thetas=data[:, 2 : 2 + n],
+        zs=data[:, 2 + n : 2 + 2 * n],
+        weights=np.full(len(data), float(meta["weight"])),
+        angle_index=data[:, 0].astype(np.int32),
+        offset_index=data[:, 1].astype(np.int32),
         n_angles=int(meta["n_angles"]),
         n_offsets=int(meta["n_offsets"]),
         offset_spacing=float(meta.get("spacing", 0.0)),
         filtered=bool(int(meta["filtered"])),
     )
-    values = data[:, -1] if header[-1] == "value" and len(rows) else None
+    values = data[:, -1] if header[-1] == "value" else None
     return ls, values
 
 

@@ -85,11 +85,8 @@ def normal_scalar_conv(f: ScalarField) -> ScalarField:
     the 0.9-ball, up to the quadrature of the kernel singularity.
     """
     grid = f.grid
-    pg = grid.pad_grid()
-    symbol = riesz.kernel_spectrum(riesz.scalar_kernel(pg), pg)
-    spec = np.fft.fftn(embed_padded(f)) * symbol
-    vals = crop_padded(np.fft.ifftn(spec).real, grid)
-    return ScalarField(grid, vals)
+    spec = np.fft.fftn(embed_padded(f)) * normal_conv_symbol(grid)
+    return ScalarField(grid, crop_padded(np.fft.ifftn(spec).real, grid))
 
 
 def normal_conv_symbol(grid: Grid) -> np.ndarray:

@@ -31,7 +31,7 @@ from .grid import (
     embed_padded,
 )
 from .lines import LineSet
-from .xray_scalar import Sinogram
+from .xray_scalar import Sinogram, normal_conv_symbol
 
 _CD_WEIGHTS = np.array([-0.5, 0.0, 0.5])
 
@@ -143,19 +143,25 @@ def normal_vector(F: VectorField, ls: LineSet) -> VectorField:
     return xray_vector_backproject(xray_vector_forward(F, ls), F.grid)
 
 
+def _padded_n1(F: VectorField):
+    """Components of F on the padded box, their spectra, and ``N1 F`` there."""
+    pg = F.grid.pad_grid()
+    kernels = riesz.vector_kernel(pg)
+    padded = [embed_padded(F.component(i)) for i in range(F.grid.n)]
+    specs = [np.fft.fftn(p) for p in padded]
+    n1 = []
+    for i in range(F.grid.n):
+        acc = np.zeros(pg.shape, dtype=complex)
+        for j in range(F.grid.n):
+            acc += riesz.kernel_spectrum(kernels[i, j], pg) * specs[j]
+        n1.append(np.fft.ifftn(acc).real)
+    return padded, specs, n1
+
+
 def normal_vector_conv(F: VectorField) -> VectorField:
     """Convolution route with the matrix kernel ``2 x_i x_j / |x|^(n+1)``."""
-    grid = F.grid
-    pg = grid.pad_grid()
-    kernels = riesz.vector_kernel(pg)
-    specs = [np.fft.fftn(embed_padded(F.component(i))) for i in range(grid.n)]
-    comps = []
-    for i in range(grid.n):
-        acc = np.zeros(pg.shape, dtype=complex)
-        for j in range(grid.n):
-            acc += riesz.kernel_spectrum(kernels[i, j], pg) * specs[j]
-        comps.append(crop_padded(np.fft.ifftn(acc).real, grid))
-    return VectorField(grid, np.stack(comps))
+    _, _, n1 = _padded_n1(F)
+    return VectorField(F.grid, np.stack([crop_padded(c, F.grid) for c in n1]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +186,8 @@ def curl_normal_identity_defect(F: VectorField) -> CurlIdentityReport:
     grid = F.grid
     pg = grid.pad_grid()
     n = grid.n
-    kernels = riesz.vector_kernel(pg)
-    k0 = riesz.kernel_spectrum(riesz.scalar_kernel(pg), pg)
-    specs = [np.fft.fftn(embed_padded(F.component(i))) for i in range(n)]
-    padded = [embed_padded(F.component(i)) for i in range(n)]
-
-    n1 = []
-    for i in range(n):
-        acc = np.zeros(pg.shape, dtype=complex)
-        for j in range(n):
-            acc += riesz.kernel_spectrum(kernels[i, j], pg) * specs[j]
-        n1.append(np.fft.ifftn(acc).real)
+    k0 = normal_conv_symbol(grid)
+    padded, specs, n1 = _padded_n1(F)
 
     lhs, rhs, ref = [], [], 0.0
     for i, j in skew_pairs(n):

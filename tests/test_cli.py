@@ -1,12 +1,15 @@
 """End-to-end command-line runs: files, exit codes, determinism."""
 
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
+import scipy
 
 import roitomo as rt
-from roitomo import cli, fileio
+from roitomo import cli, diffops, fileio
 
 
 def run_cli(args):
@@ -201,3 +204,44 @@ def test_malformed_operator_file_exit_code(tmp_path, capsys):
                 f"prior.file={prior}\nroi.radius=0.35\nv.radius=0.2\n")
     assert _reconstruct_exit(tmp_path, settings) == 2
     _assert_one_line_config_error(capsys, prior)
+
+
+def test_partial_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    grid = rt.Grid(2, 64, 1.0)
+    kept = rt.filter_roi(rt.make_lineset(grid, 60, 96), rt.disk_mask(grid, (0.0, 0.0), 0.35))
+    truth = rt.sample_phantom(rt.PhantomSpec.gaussian(sigma=0.15), grid)
+    fileio.write_sinogram(tmp_path / "sino.csv", rt.xray_forward(truth, kept))
+    fileio.write_polyop(tmp_path / "p.polyop", rt.laplacian_power(2, 1))
+    # a prior normal operator that is negative definite makes the system indefinite
+    monkeypatch.setattr(diffops, "apply_fd_normal", lambda op, u, inner, h: -1e20 * u)
+    settings = (f"solver.mode=partial\ndata.sinogram={tmp_path}/sino.csv\n"
+                f"prior.file={tmp_path}/p.polyop\nroi.radius=0.35\nv.radius=0.2\n"
+                "solver.max_iter=5\n")
+    assert _reconstruct_exit(tmp_path, settings) == 4
+    report = (tmp_path / "rc" / "report.txt").read_text()
+    assert "iterations=0\nconverged=0\n" in report
+    assert report.endswith("notes=operator lost positive definiteness\n")
+    assert "solver failure: operator lost positive definiteness" in capsys.readouterr().err
+    assert not (tmp_path / "rc" / "reconstruction.roif").exists()
+
+
+@pytest.mark.parametrize("threadpoolctl", [None, "fake"])
+def test_versions_record_thread_cap(tmp_path, monkeypatch, threadpoolctl):
+    limits = []
+    fake = types.SimpleNamespace(threadpool_limits=limits.append)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake if threadpoolctl else None)
+    monkeypatch.delenv("ROITOMO_THREADS", raising=False)
+    cfg = write_cfg(tmp_path / "c.cfg", BASE)
+
+    def versions(name, *flags):
+        assert run_cli(["phantom", "--config", cfg, "--out", str(tmp_path / name), *flags]) == 0
+        return (tmp_path / name / "versions.txt").read_text()
+
+    plain = f"roitomo={rt.__version__}\nnumpy={np.__version__}\nscipy={scipy.__version__}\n"
+    assert versions("plain") == plain
+    assert limits == []
+    applied = int(threadpoolctl is not None)
+    assert versions("flag", "--threads", "2") == plain + f"threads=2 applied={applied}\n"
+    monkeypatch.setenv("ROITOMO_THREADS", "3")
+    assert versions("env") == plain + f"threads=3 applied={applied}\n"
+    assert limits == ([2, 3] if applied else [])

@@ -1,5 +1,7 @@
 """File format round trips and determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,35 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     fileio.write_lineset(tmp_path / "lines.csv", kept)
     assert (tmp_path / "sino.csv").read_bytes() == per_row(kept, sino.values)
     assert (tmp_path / "lines.csv").read_bytes() == per_row(kept)
+
+
+def test_empty_filtered_set_roundtrip(tmp_path):
+    ls = rt.make_lineset(rt.Grid(2, 32, 1.0), 12, 16)
+    empty = ls.subset(np.zeros(len(ls), dtype=bool))
+    fileio.write_lineset(tmp_path / "lines.csv", empty)
+    fileio.write_sinogram(tmp_path / "sino.csv", rt.Sinogram(empty, np.zeros(0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lines = fileio.read_lineset(tmp_path / "lines.csv")
+        sino = fileio.read_sinogram(tmp_path / "sino.csv")
+    for back in (lines, sino.lineset):
+        assert len(back) == 0 and back.filtered
+        assert back.thetas.shape == back.zs.shape == (0, 2)
+    assert sino.values.shape == (0,)
+
+
+@pytest.mark.parametrize("rows", [
+    "0,1,1.0,0.0,0.0,0.5\n0,2,1.0,0.0\n",      # ragged
+    "0,1,1.0,0.0,0.0,x\n",                     # non-numeric
+    "0,1,1.0,0.0,0.0,0.5,7\n",                 # wider than the header
+])
+def test_malformed_lineset_rows(tmp_path, rows):
+    path = tmp_path / "lines.csv"
+    fileio.write_lineset(path, rt.make_lineset(rt.Grid(2, 32, 1.0), 12, 16))
+    meta, header = open(path).readlines()[:2]
+    path.write_text(meta + header + rows)
+    with pytest.raises(ConfigError, match="cannot parse"):
+        fileio.read_lineset(path)
 
 
 def test_pgm_format(tmp_path):

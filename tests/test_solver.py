@@ -42,6 +42,7 @@ def test_zero_data_gives_zero(setup):
     rec, rep = solver.solve_scalar_partial(p, grid)
     assert not rec.values.any()
     assert rep.iterations == 0 and rep.converged
+    assert rep.objective_history == [0.0]
 
 
 def test_solution_linear_in_data(setup):
@@ -206,3 +207,128 @@ def test_region_study_line_sets_stay_cached(setup, monkeypatch):
         solver.solve_scalar_partial(scalar, grid)
         per_pass.append(len(calls) - before)
     assert per_pass[1] == 0
+
+
+def _reference_pcg(apply_a, b, tol, max_iter, precond, history):
+    """The hand-written PCG loop the solver ran before scipy's ``cg``.
+
+    Kept as the oracle: checks the objective every 25 iterations except on
+    the converging one, and appends the final objective.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precond(r) if precond else r
+    p = z.copy()
+    rz = float(r @ z)
+    b_norm = float(np.linalg.norm(b))
+    it = 0
+    converged = False
+    while it < max_iter:
+        ap = apply_a(p)
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        it += 1
+        if np.linalg.norm(r) <= tol * b_norm:
+            converged = True
+            break
+        if it % 25 == 0:
+            history.append(0.5 * float(x @ apply_a(x)) - float(b @ x))
+        z = precond(r) if precond else r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    history.append(0.5 * float(x @ apply_a(x)) - float(b @ x))
+    return x, it, converged
+
+
+def _use_reference_pcg(monkeypatch):
+    history = []
+
+    def reference(apply_a, b, tol, max_iter, precond=None, callback=None):
+        return _reference_pcg(apply_a, b, tol, max_iter, precond, history)
+
+    monkeypatch.setattr(solver, "_cg", reference)
+    return history
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_solves_match_reference_pcg(setup, monkeypatch, vector):
+    grid, roi, region, kept, spec, truth, data = setup
+    solve = solver.solve_vector_partial if vector else solver.solve_scalar_partial
+    p = solver.PartialDataProblem(
+        roi=roi, region=region, data=data,
+        prior=rt.laplacian_power(2, 1) if vector else spec.annihilator(2),
+        lambda_prior=0.5, lambda_tikhonov=1e-10, cg_tol=1e-13, max_iter=30,
+    )
+    rec, rep = solve(p, grid)
+    history = _use_reference_pcg(monkeypatch)
+    ref, ref_rep = solve(p, grid)
+    assert np.array_equal(rec.values, ref.values)
+    assert rep.iterations == ref_rep.iterations == 30
+    assert not rep.converged and not ref_rep.converged
+    assert len(history) == 2 and rep.objective_history == history
+
+
+def test_probe_matches_reference_pcg(setup, monkeypatch):
+    grid, roi, region, kept, spec, truth, data = setup
+    res = solver.null_space_probe(roi, grid, iters=3, lineset=kept, inner_iters=20)
+    _use_reference_pcg(monkeypatch)
+    ref = solver.null_space_probe(roi, grid, iters=3, lineset=kept, inner_iters=20)
+    assert np.array_equal(res.field.values, ref.field.values)
+    assert (res.rayleigh, res.rayleigh_min, res.rayleigh_max) == (
+        ref.rayleigh, ref.rayleigh_min, ref.rayleigh_max)
+
+
+def test_preconditioner_batch_matches_per_component(setup):
+    grid, roi, region, kept, spec, truth, data = setup
+    precond = solver._spectral_preconditioner(grid, kept, [spec.annihilator(2)], 1e-4, 1e-10, 0.05)
+    vec = np.random.default_rng(3).standard_normal(2 * grid.n_nodes)
+    out = precond(vec)
+    per_comp = np.concatenate([precond(part) for part in np.split(vec, 2)])
+    assert np.array_equal(out, per_comp)
+    # a strided result would change the summation order of CG's dot products
+    assert out.flags.c_contiguous
+
+
+def test_indefinite_operator_fails_on_first_step():
+    steps = []
+    with pytest.raises(SolverFailure, match="lost positive definiteness"):
+        solver._cg(lambda v: np.array([1.0, -2.0]) * v, np.ones(2), 1e-8, 10,
+                   callback=lambda k, x: steps.append(k))
+    assert steps == []
+
+
+def test_cg_iteration_budget_edges():
+    def double(v):
+        return 2.0 * v
+
+    # one step solves 2x = b exactly; scipy sees it only before a second step
+    x, it, converged = solver._cg(double, np.ones(3), 1e-8, 1)
+    assert np.array_equal(x, np.full(3, 0.5)) and (it, converged) == (1, False)
+    assert solver._cg(double, np.ones(3), 1e-8, 2)[1:] == (1, True)
+    # a zero budget does nothing, which counts as converged only for b = 0
+    assert solver._cg(double, np.ones(3), 1e-8, 0)[1:] == (0, False)
+    assert solver._cg(double, np.zeros(3), 1e-8, 0)[1:] == (0, True)
+
+
+def test_objective_increase_raises_with_iteration(setup, monkeypatch):
+    grid, roi, region, kept, spec, truth, data = setup
+
+    def rising_cg(a, b, callback, **_):
+        # the exact line-search step along b takes q below q(0) = 0, so a
+        # return to zero at the second check (iteration 50) is a rise
+        step = (b @ b) / (b @ a.matvec(b)) * b
+        for k in range(1, 51):
+            callback(step if k < 50 else np.zeros_like(b))
+        return step, 1
+
+    monkeypatch.setattr(solver, "cg", rising_cg)
+    p = solver.PartialDataProblem(
+        roi=roi, region=region, data=data, prior=spec.annihilator(2),
+        lambda_prior=0.5, max_iter=100,
+    )
+    with pytest.raises(SolverFailure, match="objective increased at iteration 50") as exc:
+        solver.solve_scalar_partial(p, grid)
+    assert exc.value.report.notes == "objective increased at iteration 50"
+    assert not exc.value.report.converged
