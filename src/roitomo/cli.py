@@ -126,10 +126,17 @@ def _stamp(out, cfg, args, command):
 
 def _apply_threads(cfg, args):
     """Cap BLAS threads; returns ``(cap, applied)``, or None without a cap."""
-    threads = args.threads or cfg.get("threads") or os.environ.get("ROITOMO_THREADS")
+    # the first source that is set wins, so --threads 0 is checked, not skipped;
+    # an empty ROITOMO_THREADS counts as unset
+    sources = (("--threads", args.threads), ("threads", cfg.get("threads")),
+               ("ROITOMO_THREADS", os.environ.get("ROITOMO_THREADS") or None))
+    name, threads = next(((n, v) for n, v in sources if v is not None), (None, None))
     if threads is None:
         return None
-    threads = int(threads)
+    try:
+        threads = int(threads)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name}: {threads!r}") from exc
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .grid import Grid, RegionMask
-from .project import line_quadrature
+from .project import sample_coordinates
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,6 @@ def make_lineset(grid: Grid, n_angles: int = 180, n_offsets: int | None = None) 
         angle_index = np.repeat(np.arange(n_angles), n_offsets)
         offset_index = np.tile(np.arange(n_offsets), n_angles)
         weights = np.full(len(thetas), 2.0 * (np.pi / n_angles) * dz)
-        return LineSet(thetas, zs, weights, angle_index, offset_index,
-                       n_angles, n_offsets, offset_spacing=dz)
     else:
         theta = _fibonacci_half_sphere(n_angles)
         e1, e2 = _orthobasis(theta)
@@ -166,38 +164,30 @@ def _meets_disk(thetas: np.ndarray, zs: np.ndarray, center, radius: float) -> np
 
 
 def _meets_sampled(grid: Grid, thetas: np.ndarray, zs: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Nearest-node trace test at step h/2; matches the transform quadrature."""
-    s, _ = line_quadrature(grid)
-    flat = inside.reshape(-1)
+    """Nearest-node trace test: some sample's nearest node lies inside the mask.
+
+    The samples are the transforms' own, from ``project.sample_coordinates``.
+    """
     out = np.zeros(len(thetas), dtype=bool)
-    chunk = max(1, 500_000 // len(s))
-    for start in range(0, len(thetas), chunk):
-        sl = slice(start, min(start + chunk, len(thetas)))
-        pos = zs[sl][:, None, :] + s[None, :, None] * thetas[sl][:, None, :]
-        ok = np.ones(pos.shape[:2], dtype=bool)
-        idx = np.zeros(pos.shape[:2], dtype=np.int64)
-        for j in range(grid.n):
-            g = np.rint((pos[:, :, j] + grid.extent[j]) / grid.h).astype(np.int64)
-            ok &= (g >= 0) & (g < grid.size[j])
-            idx = idx * grid.size[j] + np.clip(g, 0, grid.size[j] - 1)
-        hit = np.zeros(pos.shape[:2], dtype=bool)
-        hit[ok] = flat[idx[ok]]
+    for sl, g in sample_coordinates(grid, thetas, zs):
+        nodes = [np.rint(gj) for gj in g]
+        ok = np.logical_and.reduce([(k >= 0) & (k < size) for k, size in zip(nodes, grid.size)])
+        hit = np.zeros(ok.shape, dtype=bool)
+        hit[ok] = inside[tuple(k[ok].astype(np.intp) for k in nodes)]
         out[sl] = hit.any(axis=1)
     return out
 
 
-def line_meets_region(line: Line, mask: RegionMask) -> bool:
-    thetas = line.theta[None, :]
-    zs = line.z[None, :]
+def _meets(mask: RegionMask, thetas: np.ndarray, zs: np.ndarray) -> np.ndarray:
     if mask.disk is not None:
-        return bool(_meets_disk(thetas, zs, *mask.disk)[0])
-    return bool(_meets_sampled(mask.grid, thetas, zs, mask.inside)[0])
+        return _meets_disk(thetas, zs, *mask.disk)
+    return _meets_sampled(mask.grid, thetas, zs, mask.inside)
+
+
+def line_meets_region(line: Line, mask: RegionMask) -> bool:
+    return bool(_meets(mask, line.theta[None, :], line.z[None, :])[0])
 
 
 def filter_roi(lineset: LineSet, mask: RegionMask) -> LineSet:
     """Lines of the set that meet the region, order preserved."""
-    if mask.disk is not None:
-        keep = _meets_disk(lineset.thetas, lineset.zs, *mask.disk)
-    else:
-        keep = _meets_sampled(mask.grid, lineset.thetas, lineset.zs, mask.inside)
-    return lineset.subset(keep)
+    return lineset.subset(_meets(mask, lineset.thetas, lineset.zs))

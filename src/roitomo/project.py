@@ -4,21 +4,23 @@ Every line is traced with midpoint quadrature at step h/2 over the interval
 covering the grid's circumscribing ball; samples are multilinearly
 interpolated, samples outside the box get zero weight.
 
-One function, ``_row_blocks``, produces the geometry: for a chunk of lines
-it returns that chunk's rows of the quadrature matrix X as a CSR block over
-the grid padded by one node per side.  Both maps are built from these blocks,
-so the back-projection is the exact transpose of the forward map with respect
-to the weighted line pairing and the cell-volume grid pairing.
+One generator, ``sample_coordinates``, yields every sample's grid
+coordinates per chunk of lines.  ``_row_blocks`` turns them into the chunk's
+rows of the quadrature matrix X (CSR over the grid padded by one node per
+side), and the sampled region incidence rounds them to the nearest node.
+Both maps are built from the row blocks, so the back-projection is the exact
+transpose of the forward map with respect to the weighted line pairing and
+the cell-volume grid pairing.
 
 Moderate (grid, line set) pairs are backed by a cached sparse matrix, stacked
 from the blocks once, so iterative solvers and repeated applications pay the
-geometry cost once.  Large single-pass jobs apply each block to all their
-arrays at once and drop it.
+geometry cost once; an entry lives exactly as long as its line set.  Large
+single-pass jobs apply each block to all their arrays at once and drop it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
 from itertools import product
 
 import numpy as np
@@ -32,12 +34,9 @@ from .grid import Grid
 _CHUNK_SAMPLES = 250_000
 # build and cache a sparse matrix when the estimated nonzeros stay below this
 _MATRIX_NNZ_LIMIT = 30_000_000
-# one region-of-interest study holds three line sets at once (the probe's,
-# the vector solve's and the scalar solves' kept sets), so two entries made
-# each round of it re-assemble all three
-_CACHE_SIZE = 3
 
-_projector_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+# (grid, id(line set)) -> Projector; each entry is dropped when its line set dies
+_projector_cache: dict = {}
 
 
 def line_quadrature(grid: Grid):
@@ -61,6 +60,24 @@ def _interior(grid: Grid) -> tuple:
     return (slice(1, -1),) * grid.n
 
 
+def sample_coordinates(grid: Grid, thetas: np.ndarray, zs: np.ndarray):
+    """Yield ``(line slice, [g_j])`` per chunk of lines, one (lines, steps) array per axis.
+
+    ``g_j = (z_j + s theta_j + extent_j) / h`` over :func:`line_quadrature`'s s-lattice.
+    """
+    s, _ = line_quadrature(grid)
+    inv_h = 1.0 / grid.h
+    for sl in _chunks(len(thetas), len(s)):
+        g = []
+        for j in range(grid.n):
+            gj = s[None, :] * thetas[sl, j : j + 1]
+            gj += zs[sl, j : j + 1]
+            gj += grid.extent[j]
+            gj *= inv_h
+            g.append(gj)
+        yield sl, g
+
+
 def _row_blocks(grid: Grid, lineset):
     """Yield ``(line slice, block)`` per chunk of lines; ``block`` is CSR.
 
@@ -72,8 +89,7 @@ def _row_blocks(grid: Grid, lineset):
     ever meet zeros.  Each kept sample contributes its 2^n corners in
     ``product`` order, so a row may repeat a column and may hold zero weights.
     """
-    s, ds = line_quadrature(grid)
-    inv_h = 1.0 / grid.h
+    _, ds = line_quadrature(grid)
     shape = _padded_shape(grid)
     strides = np.ones(grid.n, dtype=np.int64)
     for j in range(grid.n - 2, -1, -1):
@@ -82,18 +98,8 @@ def _row_blocks(grid: Grid, lineset):
     index = np.int32 if n_cols < 2**31 else np.int64
     corners = list(product((0, 1), repeat=grid.n))
     offsets = (np.array(corners) @ strides).astype(index)
-    for sl in _chunks(len(lineset.thetas), len(s)):
-        # grid coordinates (z + s theta + extent) / h of every sample
-        g = []
-        inside = np.ones((sl.stop - sl.start, len(s)), dtype=bool)
-        for j in range(grid.n):
-            gj = s[None, :] * lineset.thetas[sl, j : j + 1]
-            gj += lineset.zs[sl, j : j + 1]
-            gj += grid.extent[j]
-            gj *= inv_h
-            inside &= gj > -1.0
-            inside &= gj < grid.size[j]
-            g.append(gj)
+    for sl, g in sample_coordinates(grid, lineset.thetas, lineset.zs):
+        inside = np.logical_and.reduce([(gj > -1.0) & (gj < size) for gj, size in zip(g, grid.size)])
         kept = np.flatnonzero(inside)
         base = np.zeros(len(kept))
         frac = []
@@ -185,7 +191,7 @@ class Projector:
 
     def __init__(self, grid: Grid, lineset):
         self.grid = grid
-        self.lineset = lineset
+        self.weights = lineset.weights  # not the set: a cached entry must not keep its key alive
         self.matrix = assemble_matrix(grid, lineset)
         self.matrix_t = self.matrix.T.tocsr()
         self._hn = grid.h**grid.n
@@ -194,7 +200,7 @@ class Projector:
         return self.matrix @ values.reshape(-1)
 
     def backproject(self, line_values: np.ndarray) -> np.ndarray:
-        weighted = self.lineset.weights * line_values
+        weighted = self.weights * line_values
         return (self.matrix_t @ weighted).reshape(self.grid.shape) / self._hn
 
 
@@ -204,29 +210,26 @@ def _estimated_nnz(grid: Grid, lineset) -> float:
 
 
 def _cached_projector(grid: Grid, lineset) -> Projector | None:
-    """Matrix-backed projector for moderate problems, LRU-cached.
+    """Matrix-backed projector for moderate problems, cached per line set.
 
-    The cache keeps a reference to the line set so object identity stays a
-    valid key for its lifetime.
+    An entry lives exactly as long as its (immutable) line set: a finalizer
+    removes it when the set dies, before its ``id`` can be reused.
     """
     if _estimated_nnz(grid, lineset) > _MATRIX_NNZ_LIMIT:
         return None
     key = (grid, id(lineset))
-    hit = _projector_cache.get(key)
-    if hit is not None and hit[0] is lineset:
-        _projector_cache.move_to_end(key)
-        return hit[1]
-    proj = Projector(grid, lineset)
-    _projector_cache[key] = (lineset, proj)
-    while len(_projector_cache) > _CACHE_SIZE:
-        _projector_cache.popitem(last=False)
+    proj = _projector_cache.get(key)
+    if proj is None:
+        proj = _projector_cache[key] = Projector(grid, lineset)
+        weakref.finalize(lineset, _projector_cache.pop, key, None)
     return proj
 
 
 def projector(grid: Grid, lineset) -> Projector:
     """Matrix-backed projector, from the cache when its matrix fits the limit.
 
-    Above the limit the matrix is built for this caller alone and not kept.
+    A cached projector is kept until its line set dies.  Above the limit the
+    matrix is built for this caller alone and not kept.
     """
     proj = _cached_projector(grid, lineset)
     return proj if proj is not None else Projector(grid, lineset)

@@ -245,3 +245,29 @@ def test_versions_record_thread_cap(tmp_path, monkeypatch, threadpoolctl):
     monkeypatch.setenv("ROITOMO_THREADS", "3")
     assert versions("env") == plain + f"threads=3 applied={applied}\n"
     assert limits == ([2, 3] if applied else [])
+
+
+@pytest.mark.parametrize("flags, setting, env, message", [
+    ((), "", "abc", "bad value for ROITOMO_THREADS: 'abc'"),
+    ((), "threads=x\n", None, "bad value for threads: 'x'"),
+    # the flag wins even when it is 0, as the config key's 0 does
+    (("--threads", "0"), "", "2", "threads must be >= 1"),
+    ((), "threads=0\n", "2", "threads must be >= 1"),
+])
+def test_bad_thread_cap_exit_code(tmp_path, monkeypatch, capsys, flags, setting, env, message):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    if env is None:
+        monkeypatch.delenv("ROITOMO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("ROITOMO_THREADS", env)
+    cfg = write_cfg(tmp_path / "c.cfg", BASE + setting)
+    assert run_cli(["phantom", "--config", cfg, "--out", str(tmp_path / "run"), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_empty_thread_env_is_no_cap(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROITOMO_THREADS", "")
+    cfg = write_cfg(tmp_path / "c.cfg", BASE)
+    assert run_cli(["phantom", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert "threads" not in (tmp_path / "run" / "versions.txt").read_text()
