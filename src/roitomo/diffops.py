@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from .errors import RegionError
 from .grid import Grid, RegionMask, ScalarField, full_mask
@@ -240,6 +240,41 @@ def apply_fd_normal(op: PolyOp, values: np.ndarray, inner: np.ndarray, h: float)
                 term = ndimage.correlate1d(term, w, axis=axis, mode="constant")
         out += np.conj(a * (-1j) ** sum(alpha)) * term
     return out.real
+
+
+def stencil_matrix(weights: list, shape: tuple) -> sparse.csr_matrix:
+    """Per-axis ``ndimage.correlate1d(mode="constant")`` passes as one sparse matrix.
+
+    ``weights[axis]`` is an odd-length centred stencil, or ``None`` to leave
+    that axis alone; the matrix acts on C-ordered flattened arrays of
+    ``shape``, and taps past an edge see zeros.
+    """
+    out = sparse.identity(1, format="csr")
+    for size, w in zip(shape, weights):
+        if w is None:
+            along = sparse.identity(size)
+        else:
+            along = sparse.diags(list(w), np.arange(len(w)) - len(w) // 2, shape=(size, size))
+        out = sparse.kron(out, along, format="csr")
+    return out
+
+
+def prior_rows(op: PolyOp, inner: np.ndarray, h: float) -> sparse.csr_matrix:
+    """Real sparse rows Q with ``Q^T Q v = apply_fd_normal(op, v, inner, h)``.
+
+    P is :func:`_apply_terms` as a complex matrix, one Kronecker product of
+    1-D stencil matrices per term; Q stacks the real and imaginary parts of
+    P's rows at the ``inner`` nodes, so ``|Q v|^2`` is the squared operator
+    residual there.
+    """
+    rows = np.flatnonzero(inner)
+    p = sparse.csr_matrix((rows.size, inner.size), dtype=complex)
+    for alpha, a in op.terms.items():
+        term = stencil_matrix([_stencil_1d(k) / h**k if k else None for k in alpha], inner.shape)
+        p = p + (a * (-1j) ** sum(alpha)) * term[rows]
+    q = sparse.vstack([p.real, p.imag], format="csr")
+    q.eliminate_zeros()
+    return q
 
 
 # ---------------------------------------------------------------------------

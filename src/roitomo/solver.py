@@ -14,12 +14,17 @@ that meets the tolerance on exactly its ``max_iter``-th step reports
 ``converged=False``, and an objective check that falls on the converging step
 adds one history entry.  One core serves both solves: the scalar problem is
 the one-component vector problem, and the vector prior acts through the
-exterior derivative (the curl components).
+exterior derivative (the curl components).  The penalty is built once per
+solve as sparse rows: the operator's stencil rows on the prior region's
+stencil interior, composed with the curl component for vectors, so each CG
+step applies it with two sparse matvecs over those few hundred rows.
 
 The near-null-space probe searches for unit-norm fields supported outside a
 region whose transform over the region's lines is as small as possible;
 restricted to region-filtered data it exhibits the invisible features whose
 recovery is unstable, while full data admits no such field at desk scale.
+Its normal operator acts on the support's columns of the projector only,
+which gives the full-width product bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from . import diffops
@@ -37,17 +43,12 @@ from .grid import Grid, RegionMask, ScalarField, VectorField
 from .lines import LineSet, filter_roi, make_lineset
 from .project import projector
 from .xray_scalar import Sinogram
-from .xray_vector import _cd, _cd_adjoint, skew_pairs, solenoidal_decompose
+from .xray_vector import _CD_WEIGHTS, skew_pairs, solenoidal_decompose
 
 
 @dataclass
 class PartialDataProblem:
-    """Data, geometry, prior, and solver controls for one partial solve.
-
-    ``support=None`` leaves every grid node free; pass ``support`` to restrict
-    the unknown to a region (for instance the transform's contract class,
-    fields supported in the 0.9-extent ball).
-    """
+    """Data, geometry, prior, and solver controls for one partial solve."""
 
     roi: RegionMask
     region: RegionMask                 # prior region, inside the roi
@@ -57,7 +58,6 @@ class PartialDataProblem:
     lambda_tikhonov: float = 1e-6
     cg_tol: float = 1e-8
     max_iter: int = 2000
-    support: RegionMask | None = None
 
     def __post_init__(self):
         if self.lambda_prior < 0 or self.lambda_tikhonov < 0:
@@ -161,11 +161,31 @@ def _spectral_preconditioner(grid, lineset, priors, lam_p, lam_t, region_fractio
     return precond
 
 
+def _prior_penalty(terms: list, inners: list, grid: Grid, lam_p: float, size: int):
+    """Stacked sparse rows R and per-row weights c: the penalty is ``|sqrt(c) R u|^2``.
+
+    Term ``(op, d)`` contributes the rows ``Q d`` (``Q`` from
+    :func:`diffops.prior_rows` on its stencil interior), each weighted
+    ``lam_p h^order h^n``; ``size`` is the number of unknowns.
+    """
+    h, hn = grid.h, grid.h**grid.n
+    blocks = [sparse.csr_matrix((0, size))]
+    weights = [np.zeros(0)]
+    for (op, d), inner in zip(terms, inners):
+        blocks.append(diffops.prior_rows(op, inner, h) @ d)
+        weights.append(np.full(blocks[-1].shape[0], lam_p * h**op.order * hn))
+    return sparse.vstack(blocks, format="csr"), np.concatenate(weights)
+
+
 def _solve(problem: PartialDataProblem, grid: Grid, thetas: list, terms: list):
     """Minimize ``|sqrt(w) (sum_i theta_i X u_i - g)|^2`` + penalty + ridge.
 
-    Each term ``(op, d, d_t)`` adds ``lambda_prior h^order |op(d u)|^2`` on
-    the prior region's stencil interior; ``d_t`` is the transpose of ``d``.
+    Each term ``(op, d)`` adds ``lambda_prior h^order |op(d u)|^2`` on the
+    prior region's stencil interior, where ``d`` is a sparse matrix on the
+    stacked components.  The penalty's rows are built once per solve and
+    applied as ``R^T (c R u)``: a precomputed ``R^T c R`` puts its rounding
+    error, at the scale of the prior's largest eigenvalues, into directions
+    the rows do not see, and CG's objective then rises at times.
     Returns the component stack and a report without ``rel_error``.
     """
     t0 = time.perf_counter()
@@ -178,20 +198,15 @@ def _solve(problem: PartialDataProblem, grid: Grid, thetas: list, terms: list):
     shape = (len(thetas),) + grid.shape
 
     inners = []
-    for op, _, _ in terms:
+    for op, _ in terms:
         inner = diffops.stencil_interior(op, problem.region)
         if not inner.any():
             raise RegionError("prior region interior is empty")
         inners.append(inner)
     # dimensionless-difference normalization: an order-m penalty scales
     # as h^m so that unit weight means unit-size stencil residuals
-    scales = [h**op.order for op, _, _ in terms]
-
-    support = problem.support
-    flags = None if support is None else np.tile(support.inside.reshape(-1), len(thetas))
-
-    def _mask(vec):
-        return vec if flags is None else np.where(flags, vec, 0.0)
+    scales = [h**op.order for op, _ in terms]
+    rows, row_weights = _prior_penalty(terms, inners, grid, lam_p, int(np.prod(shape)))
 
     def forward(comps):
         sino = np.zeros(len(ls))
@@ -205,23 +220,17 @@ def _solve(problem: PartialDataProblem, grid: Grid, thetas: list, terms: list):
         )
 
     def apply_a(vec):
-        comps = _mask(vec).reshape(shape)
-        out = backproject(w * forward(comps))
-        for (op, d, d_t), inner, scale in zip(terms, inners, scales):
-            z = diffops.apply_fd_normal(op, d(comps), inner, h)
-            out += lam_p * scale * hn * d_t(z)
-        out += lam_t * hn * comps
-        return _mask(out.reshape(-1))
+        out = backproject(w * forward(vec.reshape(shape))).reshape(-1)
+        out += rows.T @ (row_weights * (rows @ vec))
+        out += lam_t * hn * vec
+        return out
 
-    b = _mask(backproject(w * g).reshape(-1))
+    b = backproject(w * g).reshape(-1)
     region_fraction = float(np.mean([m.mean() for m in inners])) if inners else 0.0
     mean_scale = float(np.mean(scales)) if scales else 0.0
-    base_precond = _spectral_preconditioner(
-        grid, ls, [op for op, _, _ in terms], lam_p * mean_scale, lam_t, region_fraction
+    precond = _spectral_preconditioner(
+        grid, ls, [op for op, _ in terms], lam_p * mean_scale, lam_t, region_fraction
     )
-
-    def precond(vec):
-        return _mask(base_precond(_mask(vec)))
 
     def objective(x):
         return 0.5 * float(x @ apply_a(x)) - float(b @ x)
@@ -250,11 +259,7 @@ def _solve(problem: PartialDataProblem, grid: Grid, thetas: list, terms: list):
     data_rel = float(
         np.sqrt(np.sum(w * resid**2)) / max(np.sqrt(np.sum(w * g**2)), 1e-300)
     )
-    prior_sq = 0.0
-    for (op, d, _), inner in zip(terms, inners):
-        action = diffops._apply_terms(op, d(comps), h)
-        action[~inner] = 0.0
-        prior_sq += hn * float(np.sum(np.abs(action) ** 2))
+    prior_sq = hn * float(np.sum((rows @ x) ** 2))
     report = SolveReport(
         iterations=iterations,
         converged=converged,
@@ -278,7 +283,7 @@ def solve_scalar_partial(
     prior = problem.prior
     terms = []
     if prior is not None and problem.lambda_prior > 0:
-        terms.append((prior, lambda comps: comps[0], lambda z: z[None]))
+        terms.append((prior, sparse.identity(grid.n_nodes, format="csr")))
     comps, report = _solve(problem, grid, [np.ones(len(problem.data.lineset))], terms)
     f = ScalarField(grid, comps[0])
     if truth is not None:
@@ -287,19 +292,20 @@ def solve_scalar_partial(
 
 
 def _curl_term(op, i: int, j: int, grid: Grid):
-    """Penalty term on the (i, j) curl component, with its transpose."""
-    h = grid.h
+    """Penalty term on the (i, j) curl component ``D_i u_j - D_j u_i``.
 
-    def d(comps):
-        return _cd(comps[j], i, h) - _cd(comps[i], j, h)
+    ``D_k`` is :func:`xray_vector._cd` as a sparse matrix on the stacked
+    components, with the same centred weights and zero-extension edges.
+    """
+    def cd(axis):
+        return diffops.stencil_matrix(
+            [_CD_WEIGHTS / grid.h if k == axis else None for k in range(grid.n)], grid.shape
+        )
 
-    def d_t(z):
-        out = np.zeros((grid.n,) + grid.shape)
-        out[j] = _cd_adjoint(z, i, h)
-        out[i] = -_cd_adjoint(z, j, h)
-        return out
-
-    return op, d, d_t
+    blocks = [sparse.csr_matrix((grid.n_nodes, grid.n_nodes)) for _ in range(grid.n)]
+    blocks[j] = cd(i)
+    blocks[i] = -cd(j)
+    return op, sparse.hstack(blocks, format="csr")
 
 
 def solve_vector_partial(
@@ -345,6 +351,24 @@ class ProbeResult:
     support_violation: int
 
 
+def _restricted_normal(matrix_t, weights: np.ndarray, support: np.ndarray):
+    """``v -> where(support, X^T W X where(support, v))`` on the support's columns only.
+
+    Slices the support's rows of ``X^T`` once.  Each line's sum still runs
+    over its support nodes in node order, so the result equals the
+    full-width product bit for bit.
+    """
+    idx = np.flatnonzero(support)
+    xt_s = matrix_t[idx]
+
+    def apply(vec):
+        out = np.zeros(vec.size)
+        out[idx] = xt_s @ (weights * (xt_s.T @ vec[idx]))
+        return out
+
+    return apply
+
+
 def null_space_probe(
     roi: RegionMask,
     grid: Grid,
@@ -378,17 +402,13 @@ def null_space_probe(
     if lineset is None:
         lineset = filter_roi(make_lineset(grid), roi)
     proj = projector(grid, lineset)
-    w = lineset.weights
     band = (grid.freq_norm() <= band_fraction * np.pi / grid.h).astype(float)
 
     def smooth_project(vec):
         low = np.fft.ifftn(band * np.fft.fftn(vec.reshape(grid.shape))).real
         return np.where(support, low.reshape(-1), 0.0)
 
-    def apply_b(vec):
-        u = np.where(support, vec, 0.0)
-        out = proj.matrix_t @ (w * (proj.matrix @ u))
-        return np.where(support, out, 0.0)
+    apply_b = _restricted_normal(proj.matrix_t, lineset.weights, support)
 
     rng = np.random.default_rng(seed)
     v = smooth_project(rng.standard_normal(grid.n_nodes))

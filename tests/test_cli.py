@@ -7,9 +7,10 @@ import types
 import numpy as np
 import pytest
 import scipy
+from scipy import sparse
 
 import roitomo as rt
-from roitomo import cli, diffops, fileio
+from roitomo import cli, fileio, solver
 
 
 def run_cli(args):
@@ -212,8 +213,11 @@ def test_partial_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     truth = rt.sample_phantom(rt.PhantomSpec.gaussian(sigma=0.15), grid)
     fileio.write_sinogram(tmp_path / "sino.csv", rt.xray_forward(truth, kept))
     fileio.write_polyop(tmp_path / "p.polyop", rt.laplacian_power(2, 1))
-    # a prior normal operator that is negative definite makes the system indefinite
-    monkeypatch.setattr(diffops, "apply_fd_normal", lambda op, u, inner, h: -1e20 * u)
+    # a prior penalty that is negative definite makes the system indefinite
+    def indefinite(terms, inners, grid, lam_p, size):
+        return sparse.identity(size, format="csr"), np.full(size, -1e20)
+
+    monkeypatch.setattr(solver, "_prior_penalty", indefinite)
     settings = (f"solver.mode=partial\ndata.sinogram={tmp_path}/sino.csv\n"
                 f"prior.file={tmp_path}/p.polyop\nroi.radius=0.35\nv.radius=0.2\n"
                 "solver.max_iter=5\n")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import roitomo as rt
 from roitomo import diffops
@@ -19,6 +21,7 @@ from roitomo.diffops import (
     unit_op,
     zero_set_fraction,
 )
+from util import polyops
 
 
 def _horner_oracle(op: PolyOp, xi) -> complex:
@@ -216,6 +219,30 @@ def test_polyop_text_roundtrip():
     assert back.n == 2
     for alpha, a in op.terms.items():
         assert back.terms[alpha] == pytest.approx(a)
+
+
+@settings(max_examples=50)
+@given(op=st.sampled_from([2, 3]).flatmap(polyops))
+def test_polyop_text_roundtrip_property(op):
+    assert polyop_from_text(polyop_to_text(op)) == op
+    assert polyop_from_text(polyop_to_text(op), n=op.n) == op
+
+
+@settings(max_examples=30)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_prior_rows_match_fd_normal(n, size, data, seed, density):
+    # random interiors reach the grid's edges, where both sides zero-extend
+    op = data.draw(polyops(n))
+    h = rt.Grid(n, size, 1.0).h
+    rng = np.random.default_rng(seed)
+    inner = rng.random((size,) * n) < density
+    v = rng.standard_normal(inner.shape)
+    q = diffops.prior_rows(op, inner, h)
+    assert q.shape == (2 * inner.sum(), inner.size)
+    ref = diffops.apply_fd_normal(op, v, inner, h)
+    got = (q.T @ (q @ v.reshape(-1))).reshape(v.shape)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_wave_patch_annihilated():

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import roitomo as rt
-from roitomo import project, solver
+from roitomo import diffops, project, solver
 from roitomo.errors import SolverFailure
+from roitomo.xray_vector import _cd, _cd_adjoint, skew_pairs
+from util import polyops
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +145,85 @@ def test_probe_empty_support():
     grid = rt.Grid(2, 64, 1.0)
     with pytest.raises(rt.RegionError):
         solver.null_space_probe(rt.full_mask(grid), grid, iters=2)
+
+
+def test_restricted_normal_is_bit_identical(setup):
+    grid, roi, region, kept, spec, truth, data = setup
+    proj = project.projector(grid, kept)
+    w = kept.weights
+    rng = np.random.default_rng(11)
+    ball = rt.disk_mask(grid, (0.0, 0.0), 0.9)
+    for support in [(ball.inside & ~roi.inside).reshape(-1),
+                    rng.random(grid.n_nodes) < 0.3,
+                    np.ones(grid.n_nodes, dtype=bool)]:
+        apply_b = solver._restricted_normal(proj.matrix_t, w, support)
+        for _ in range(3):
+            v = rng.standard_normal(grid.n_nodes)
+            full = proj.matrix_t @ (w * (proj.matrix @ np.where(support, v, 0.0)))
+            assert np.array_equal(apply_b(v), np.where(support, full, 0.0))
+
+
+def _random_region(grid, rng, density):
+    """Scattered nodes joined with a random box about the centre."""
+    size = grid.size[0]
+    lo = rng.integers(0, size // 4 + 1, grid.n)
+    hi = rng.integers(size - size // 4, size + 1, grid.n)
+    inside = rng.random(grid.shape) < density
+    inside[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+    return rt.RegionMask(grid, inside)
+
+
+def _curl(comps, i, j, h):
+    return _cd(comps[j], i, h) - _cd(comps[i], j, h)
+
+
+@settings(max_examples=30)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_curl_prior_rows_match_fd_normal(n, size, data, seed, density):
+    grid = rt.Grid(n, size, 1.0)
+    h = grid.h
+    op = data.draw(polyops(n))
+    i, j = data.draw(st.sampled_from(skew_pairs(n)))
+    rng = np.random.default_rng(seed)
+    inner = rng.random(grid.shape) < density
+    comps = rng.standard_normal((n,) + grid.shape)
+    _, d = solver._curl_term(op, i, j, grid)
+    rows = diffops.prior_rows(op, inner, h) @ d
+    got = (rows.T @ (rows @ comps.reshape(-1))).reshape(comps.shape)
+    z = diffops.apply_fd_normal(op, _curl(comps, i, j, h), inner, h)
+    ref = np.zeros_like(comps)
+    ref[j] = _cd_adjoint(z, i, h)
+    ref[i] = -_cd_adjoint(z, j, h)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@settings(max_examples=20)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 0.5))
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 10)])
+def test_prior_residual_matches_stencil_action(n, size, vector, data, seed, density):
+    grid = rt.Grid(n, size, 1.0)
+    h = grid.h
+    op = data.draw(polyops(n))
+    rng = np.random.default_rng(seed)
+    region = _random_region(grid, rng, density)
+    inner = diffops.stencil_interior(op, region)
+    assume(inner.any())
+    lines = rt.make_lineset(grid, 8, 8)
+    p = solver.PartialDataProblem(
+        roi=rt.full_mask(grid), region=region, prior=op, lambda_prior=1.0, max_iter=3,
+        data=rt.Sinogram(lines, rng.standard_normal(len(lines))),
+    )
+    if vector:
+        F, rep = solver.solve_vector_partial(p, grid)
+        fields = [_curl(F.values, i, j, h) for i, j in skew_pairs(n)]
+    else:
+        f, rep = solver.solve_scalar_partial(p, grid)
+        fields = [f.values]
+    actions = [diffops._apply_terms(op, u, h)[inner] for u in fields]
+    ref = np.sqrt(grid.h**n * sum(float(np.sum(np.abs(a) ** 2)) for a in actions))
+    assert rep.prior_residual == pytest.approx(ref, rel=1e-12)
 
 
 def _count_assemblies(monkeypatch):

@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+from itertools import product
+
 import numpy as np
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from roitomo import Grid, ScalarField, VectorField
+from roitomo.diffops import PolyOp
 
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
@@ -37,3 +41,12 @@ def smooth_compact_vector(grid: Grid, seed: int = 0, width: float = 3.0,
 
 def zero_mean(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.values - f.values.mean())
+
+
+def polyops(n: int):
+    """Hypothesis strategy: operators of order 0-4 with 1-4 complex coefficients."""
+    alphas = [a for a in product(range(5), repeat=n) if sum(a) <= 4]
+    coeffs = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0,
+                                allow_nan=False, allow_infinity=False)
+    terms = st.dictionaries(st.sampled_from(alphas), coeffs, min_size=1, max_size=4)
+    return terms.map(lambda t: PolyOp(n, t))
